@@ -97,44 +97,47 @@ func BenchmarkAblationDPipe(b *testing.B)    { benchExperiment(b, "ablation-dpip
 // Component micro-benchmarks: the costs of the framework's two search
 // engines in isolation.
 
-func BenchmarkDPipePlanMHA(b *testing.B) {
-	probs := buildLlamaProblems(b)
-	prob := probs["mha"]
+// The DPipe and evaluation benchmarks report host-independent counts from an
+// obs registry next to ns/op: dp_cells/op (DP instance placements),
+// candidates/op (schedules evaluated per plan) and evals/op (objective
+// evaluations on TileSeek's master trajectory).
+
+func BenchmarkDPipePlanMHA(b *testing.B) { benchDPipePlan(b, "mha") }
+func BenchmarkDPipePlanFFN(b *testing.B) { benchDPipePlan(b, "ffn") }
+
+func benchDPipePlan(b *testing.B, layer string) {
+	prob := buildLlamaProblems(b)[layer]
 	spec := cloudSpec()
+	reg := obs.NewRegistry()
+	ctx := obs.WithMetrics(context.Background(), reg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dpipe.Plan(prob, spec, dpipe.DefaultOptions()); err != nil {
+		if _, err := dpipe.PlanContext(ctx, prob, spec, dpipe.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportPerOp(b, reg, "dpipe.dp_cells", "dp_cells/op")
+	reportPerOp(b, reg, "dpipe.candidates", "candidates/op")
 }
 
-func BenchmarkDPipePlanFFN(b *testing.B) {
-	probs := buildLlamaProblems(b)
-	prob := probs["ffn"]
-	spec := cloudSpec()
-	b.ResetTimer()
+func BenchmarkEvaluateTransFusionCloud64K(b *testing.B) { benchEvaluate(b, "cloud") }
+func BenchmarkEvaluateTransFusionEdge64K(b *testing.B)  { benchEvaluate(b, "edge") }
+
+func benchEvaluate(b *testing.B, archName string) {
+	reg := obs.NewRegistry()
+	ctx := obs.WithMetrics(context.Background(), reg)
 	for i := 0; i < b.N; i++ {
-		if _, err := dpipe.Plan(prob, spec, dpipe.DefaultOptions()); err != nil {
+		if _, err := experimentsEval(ctx, archName); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportPerOp(b, reg, "tileseek.evaluated", "evals/op")
+	reportPerOp(b, reg, "dpipe.dp_cells", "dp_cells/op")
 }
 
-func BenchmarkEvaluateTransFusionCloud64K(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experimentsEval(b, "cloud"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvaluateTransFusionEdge64K(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experimentsEval(b, "edge"); err != nil {
-			b.Fatal(err)
-		}
-	}
+// reportPerOp reports a registry counter divided by b.N under unit.
+func reportPerOp(b *testing.B, reg *obs.Registry, counter, unit string) {
+	b.ReportMetric(float64(reg.Counter(counter).Value())/float64(b.N), unit)
 }
 
 // Helpers for the component micro-benchmarks.
@@ -155,14 +158,13 @@ func buildLlamaProblems(b *testing.B) map[string]*dpipe.Problem {
 	return probs
 }
 
-func experimentsEval(b *testing.B, archName string) (pipeline.Result, error) {
-	b.Helper()
+func experimentsEval(ctx context.Context, archName string) (pipeline.Result, error) {
 	spec, err := arch.ByName(archName)
 	if err != nil {
 		return pipeline.Result{}, err
 	}
 	w := pipeline.Workload{Model: model.Llama3(), SeqLen: model.SeqLength64K, Batch: model.EvalBatch}
-	return pipeline.Evaluate(w, spec, pipeline.TransFusion(), benchOpts())
+	return pipeline.EvaluateContext(ctx, w, spec, pipeline.TransFusion(), benchOpts())
 }
 
 // Parallel search engine: the speculative tile search and the DPipe

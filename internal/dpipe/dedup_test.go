@@ -16,7 +16,7 @@ import (
 
 func TestCandidateSetDedupFiresOnCollision(t *testing.T) {
 	reg := obs.NewRegistry()
-	cs := newCandidateSet(reg.Counter("dpipe.dedup_skipped"))
+	cs := newCandidateSet(map[string]int{"a": 0, "b": 1, "c": 2}, reg.Counter("dpipe.dedup_skipped"))
 
 	part := graph.Bipartition{
 		First:  map[string]bool{"a": true},
@@ -55,7 +55,7 @@ func TestCandidateSetDedupFiresOnCollision(t *testing.T) {
 }
 
 func TestCandidateSetNilCounterSafe(t *testing.T) {
-	cs := newCandidateSet(nil) // obs counters are nil-receiver safe
+	cs := newCandidateSet(map[string]int{"x": 0}, nil) // obs counters are nil-receiver safe
 	cs.add([]string{"x"}, graph.Bipartition{})
 	cs.add([]string{"x"}, graph.Bipartition{})
 	if len(cs.list) != 1 || cs.skipped() != 1 {

@@ -28,7 +28,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -275,18 +274,20 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
+	d := DefaultOptions()
 	if opts.MaxBipartitions <= 0 || opts.MaxOrdersPerPartition <= 0 {
-		maxEnum, progress, par := opts.MaxEnumeration, opts.Progress, opts.Parallelism
-		opts = DefaultOptions()
-		opts.MaxEnumeration = maxEnum
-		opts.Progress = progress
-		opts.Parallelism = par
+		// Either cap unset selects the default bounds for both caps and the
+		// explicit window; every other caller-set field is kept.
+		opts.MaxBipartitions, opts.MaxOrdersPerPartition = d.MaxBipartitions, d.MaxOrdersPerPartition
+		if opts.ExplicitEpochs <= 0 {
+			opts.ExplicitEpochs = d.ExplicitEpochs
+		}
 	}
 	if opts.ExplicitEpochs < 2 {
 		opts.ExplicitEpochs = 2
 	}
 	if opts.MaxEnumeration == 0 {
-		opts.MaxEnumeration = DefaultOptions().MaxEnumeration
+		opts.MaxEnumeration = d.MaxEnumeration
 	}
 
 	reg := obs.MetricsFrom(ctx)
@@ -295,100 +296,76 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 		reg.Counter("dpipe.plans").Inc()
 		planStart = time.Now()
 	}
-
-	// Candidate orderings: the canonical topological order always
-	// participates; each valid bipartition contributes orderings of its
-	// virtual-root DAG. Candidates are collected through a candidateSet,
-	// which skips (and counts) canonical-key duplicates — see its doc for
-	// why the current enumeration never produces any.
-	cs := newCandidateSet(reg.Counter("dpipe.dedup_skipped"))
-
-	// Warm start: validated hints occupy the head of the candidate list, so
-	// they are evaluated before the enumerated frontier and their best total
-	// becomes the pruning bound for everything after them. The dedup set
-	// absorbs the enumeration regenerating a hinted candidate (the one case
-	// dedup_skipped legitimately fires).
-	for _, h := range opts.WarmHints {
-		if part, ok := h.bipartition(p); ok {
-			cs.add(h.Order, part)
-		}
-	}
-	nHints := len(cs.list)
-
-	canonical, err := p.Deps.TopoSort()
+	c, err := compile(p, spec, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	cs.add(canonical, graph.Bipartition{})
+	dedup := reg.Counter("dpipe.dedup_skipped") // registered on every plan
 
-	parts, examined, err := p.Deps.BipartitionsBounded(ctx, opts.MaxEnumeration)
+	// Candidate orderings: the canonical topological order always
+	// participates; each valid bipartition contributes orderings of its
+	// virtual-root DAG. The list depends only on the DAG's shape, so it comes
+	// from the process-wide cache when this shape was enumerated before —
+	// unless the enumeration budget is below what the full scan examined, in
+	// which case the live scan runs and fails exactly as it would uncached.
+	key := shapeKey(c, opts)
+	e := cachedEnumeration(key)
+	if e != nil && opts.MaxEnumeration > 0 && opts.MaxEnumeration < e.examined {
+		e = nil
+	}
+	cached := e != nil
+	if cached && ctx.Err() != nil {
+		return Result{}, fmt.Errorf("dpipe: problem %s: %w", p.Name, faults.Canceled(ctx))
+	}
+	if !cached {
+		e, err = enumerate(ctx, p, c.index, opts)
+	}
 	if reg != nil {
-		// Account the scan even when it aborted on budget/cancellation.
-		reg.Counter("dpipe.enumerated").Add(int64(examined))
-		reg.Counter("dpipe.bipartitions").Add(int64(len(parts)))
+		// Account the scan even when it aborted on budget/cancellation; a
+		// cached enumeration accounts the scan it replaces.
+		reg.Counter("dpipe.enumerated").Add(int64(e.examined))
+		reg.Counter("dpipe.bipartitions").Add(int64(e.valid))
 	}
 	if err != nil {
-		return Result{}, fmt.Errorf("dpipe: problem %s: %w", p.Name, err)
+		return Result{}, err
 	}
-	// Sort bipartitions by canonical key before truncating, so the explored
-	// prefix is a property of the problem, not of enumeration order.
-	partKeys := make([]string, len(parts))
-	for i, part := range parts {
-		partKeys[i] = strings.Join(part.FirstSorted(), "\x1f")
+	if !cached {
+		storeEnumeration(key, e)
 	}
-	sort.Sort(&keyedParts{keys: partKeys, parts: parts})
-	if len(parts) > opts.MaxBipartitions {
-		parts = parts[:opts.MaxBipartitions]
+
+	// Warm start: validated hints occupy the head of the candidate list, so
+	// they are evaluated before the enumerated frontier and their best total
+	// becomes the pruning bound for everything after them. Candidates are
+	// deduplicated by canonical key (see candidateSet); the enumeration
+	// regenerating a hinted candidate is the one case dedup_skipped
+	// legitimately fires.
+	dedup.Add(int64(e.dups))
+	hints := newCandidateSet(c.index, dedup)
+	for _, h := range opts.WarmHints {
+		if part, ok := h.bipartition(p); ok {
+			hints.add(h.Order, part)
+		}
 	}
-	const rootID = "\x00ROOT"
-	for _, part := range parts {
-		if ctx.Err() != nil {
-			return Result{}, faults.Canceled(ctx)
-		}
-		// The overlap DAG of Figure 7(d): in the pipelined execution the
-		// first subgraph of epoch k runs concurrently with the second
-		// subgraph of epoch k-1, so the cross edges S1 -> S2 (which connect
-		// different epochs) are dropped; a virtual root ties the two induced
-		// subgraphs into a single DAG whose topological orders are the
-		// candidate interleavings.
-		overlay := graph.New()
-		for node := range part.First {
-			overlay.AddNode(node)
-		}
-		for node := range part.Second {
-			overlay.AddNode(node)
-		}
-		for _, from := range p.Deps.Nodes() {
-			for _, to := range p.Deps.Succ(from) {
-				sameSide := part.First[from] == part.First[to]
-				if sameSide {
-					overlay.AddEdge(from, to)
-				}
+	nHints := len(hints.list)
+	list := e.cands
+	if nHints > 0 {
+		list = hints.list
+		for _, cand := range e.cands {
+			if hints.seen[cand.key] {
+				dedup.Inc()
+				continue
 			}
-		}
-		rooted, err := overlay.WithVirtualRoot(rootID)
-		if err != nil {
-			return Result{}, err
-		}
-		for _, order := range rooted.TopoOrders(opts.MaxOrdersPerPartition) {
-			// Strip the virtual root.
-			clean := make([]string, 0, len(order)-1)
-			for _, id := range order {
-				if id != rootID {
-					clean = append(clean, id)
-				}
-			}
-			cs.add(clean, part)
+			list = append(list, cand)
 		}
 	}
 
 	if opts.Progress != nil {
 		opts.Progress(obs.EnumerationProgress{
 			Problem:      p.Name,
-			Examined:     examined,
+			Examined:     e.examined,
 			Budget:       opts.MaxEnumeration,
-			Bipartitions: len(parts),
-			Candidates:   len(cs.list),
+			Bipartitions: e.explored,
+			Candidates:   len(list),
 		})
 	}
 
@@ -397,7 +374,15 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 	// both the serial and the pooled path; nil (a single branch) when no
 	// injector is attached to ctx.
 	chaosSite := chaos.SiteFrom(ctx, chaos.SiteDPipeCandidate)
-	results := make([]Result, len(cs.list))
+	n := len(c.names)
+	results := make([]outcome, len(list))
+	// assigns[i*n:(i+1)*n] is candidate i's assignment record (see sweep);
+	// only the winner's becomes a map.
+	assigns := make([]int8, len(list)*n)
+	eval := func(s *scratch, i int, bound float64) {
+		cand := list[i]
+		results[i] = c.evaluate(s, cand.order, cand.first, opts.ExplicitEpochs, cells, bound, assigns[i*n:(i+1)*n])
+	}
 
 	// Hinted candidates run first, serially and unbounded — their totals
 	// must be exact, both because one of them is probably the winner and
@@ -409,6 +394,7 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 	// pruned by floating-point noise in the mid-sweep lower bound, so the
 	// deterministic tie-break reduction sees exactly the same finite totals
 	// a cold plan would compute.
+	var serial scratch
 	bound := math.Inf(1)
 	for i := 0; i < nHints; i++ {
 		if ctx.Err() != nil {
@@ -417,9 +403,8 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 		if err := chaosSite.Strike(ctx); err != nil {
 			return Result{}, fmt.Errorf("dpipe: problem %s: %w", p.Name, err)
 		}
-		c := cs.list[i]
-		results[i] = evaluate(p, spec, c.order, c.part.First, opts.ExplicitEpochs, nil, cells, math.Inf(1))
-		if t := results[i].TotalCycles; t < bound {
+		eval(&serial, i, math.Inf(1))
+		if t := results[i].total; t < bound {
 			bound = t
 		}
 	}
@@ -428,8 +413,8 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 	}
 
 	workers := resolveParallelism(opts.Parallelism)
-	if workers > len(cs.list)-nHints {
-		workers = len(cs.list) - nHints
+	if workers > len(list)-nHints {
+		workers = len(list) - nHints
 	}
 	if workers > 1 {
 		// Fan the candidate evaluations (pure DP sweeps) across a bounded
@@ -454,11 +439,12 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 						panicMu.Unlock()
 					}
 				}()
+				var s scratch
 				for {
 					i := int(next.Add(1)) - 1 + nHints
 					// Cancellation is checked per candidate schedule, as on
 					// the serial path.
-					if i >= len(cs.list) || ctx.Err() != nil {
+					if i >= len(list) || ctx.Err() != nil {
 						return
 					}
 					if err := chaosSite.Strike(ctx); err != nil {
@@ -469,8 +455,7 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 						panicMu.Unlock()
 						return
 					}
-					c := cs.list[i]
-					results[i] = evaluate(p, spec, c.order, c.part.First, opts.ExplicitEpochs, nil, cells, bound)
+					eval(&s, i, bound)
 				}
 			}()
 		}
@@ -485,7 +470,7 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 			return Result{}, fmt.Errorf("dpipe: problem %s: %w", p.Name, injected)
 		}
 	} else {
-		for i := nHints; i < len(cs.list); i++ {
+		for i := nHints; i < len(list); i++ {
 			// Cancellation is checked per candidate schedule: a canceled plan
 			// returns promptly instead of finishing the DP sweep.
 			if ctx.Err() != nil {
@@ -494,8 +479,7 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 			if err := chaosSite.Strike(ctx); err != nil {
 				return Result{}, fmt.Errorf("dpipe: problem %s: %w", p.Name, err)
 			}
-			c := cs.list[i]
-			results[i] = evaluate(p, spec, c.order, c.part.First, opts.ExplicitEpochs, nil, cells, bound)
+			eval(&serial, i, bound)
 		}
 	}
 
@@ -503,29 +487,28 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 	// candidate key — the winner is identical at any worker count and any
 	// GOMAXPROCS. Unschedulable candidates (infinite makespan) never win,
 	// matching the serial strict-less-than of old.
-	best := Result{TotalCycles: math.Inf(1)}
-	bestKey := ""
-	found := false
-	for i, c := range cs.list {
-		res := results[i]
+	best := -1
+	for i, cand := range list {
+		total := results[i].total
 		// Pruned sweeps report +Inf; a dependency-violating hint evaluated
 		// cold can extrapolate Inf-Inf into NaN. Neither is a schedule, and a
-		// NaN reaching `best` first would poison every later < comparison.
-		if math.IsInf(res.TotalCycles, 1) || math.IsNaN(res.TotalCycles) {
+		// NaN reaching the incumbent first would poison every later <
+		// comparison.
+		if math.IsInf(total, 1) || math.IsNaN(total) {
 			continue
 		}
-		if !found || res.TotalCycles < best.TotalCycles ||
-			(res.TotalCycles == best.TotalCycles && c.key < bestKey) {
-			res.Order = c.order
-			res.Bipartition = c.part
-			best = res
-			bestKey = c.key
-			found = true
+		if best < 0 || total < results[best].total ||
+			(total == results[best].total && cand.key < list[best].key) {
+			best = i
 		}
 	}
-	best.Candidates = len(cs.list)
+	res := Result{TotalCycles: math.Inf(1)}
+	if best >= 0 {
+		res = c.result(list[best], results[best], assigns[best*n:(best+1)*n])
+	}
+	res.Candidates = len(list)
 	if reg != nil {
-		reg.Counter("dpipe.candidates").Add(int64(len(cs.list)))
+		reg.Counter("dpipe.candidates").Add(int64(len(list)))
 		reg.Histogram("dpipe.plan_ms", nil).Observe(float64(time.Since(planStart).Microseconds()) / 1e3)
 	}
 	// Enabled-guarded so the disabled path never builds the attr slice:
@@ -533,12 +516,39 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 	if lg := obs.LoggerFrom(ctx); lg.Enabled(ctx, slog.LevelDebug) {
 		lg.Debug("dpipe: plan complete",
 			"problem", p.Name,
-			"candidates", len(cs.list),
-			"bipartitions", len(parts),
-			"enumerated", examined,
-			"cycles", best.TotalCycles)
+			"candidates", len(list),
+			"bipartitions", e.explored,
+			"enumerated", e.examined,
+			"cycles", res.TotalCycles)
 	}
-	return best, nil
+	return res, nil
+}
+
+// result materialises a candidate's outcome as a Result with fresh Order,
+// Bipartition and Assignment values, so nothing a caller holds aliases the
+// shared candidate cache.
+func (c *compiled) result(cand candidate, out outcome, assign []int8) Result {
+	res := Result{
+		TotalCycles: out.total,
+		Busy1D:      out.busy[perf.PE1D],
+		Busy2D:      out.busy[perf.PE2D],
+		Order:       make([]string, len(cand.order)),
+		Assignment:  c.assignment(assign),
+	}
+	for i, op := range cand.order {
+		res.Order[i] = c.names[op]
+	}
+	if cand.first != nil {
+		res.Bipartition = graph.Bipartition{First: map[string]bool{}, Second: map[string]bool{}}
+		for op, in := range cand.first {
+			if in {
+				res.Bipartition.First[c.names[op]] = true
+			} else {
+				res.Bipartition.Second[c.names[op]] = true
+			}
+		}
+	}
+	return res
 }
 
 // Sequential evaluates the problem with every op fully serialised on a
@@ -556,12 +566,16 @@ func Sequential(p *Problem, spec arch.Spec, assign map[string]perf.ArrayKind) (R
 	if err != nil {
 		return Result{}, fmt.Errorf("dpipe: problem %s: %w", p.Name, err)
 	}
+	c, err := compile(p, spec, assign)
+	if err != nil {
+		return Result{}, err
+	}
 	var perEpoch float64
-	busy := map[perf.ArrayKind]float64{}
-	for name, op := range p.Ops {
-		cyc := op.Cycles(spec, assign[name])
+	var busy [2]float64
+	for op, arr := range c.fixed {
+		cyc := c.cycles[op][arr]
 		perEpoch += cyc
-		busy[assign[name]] += cyc
+		busy[arr] += cyc
 	}
 	e := float64(p.Epochs)
 	return Result{
@@ -588,9 +602,7 @@ func StaticPipelined(p *Problem, spec arch.Spec, assign map[string]perf.ArrayKin
 	if err != nil {
 		return Result{}, fmt.Errorf("dpipe: problem %s: %w", p.Name, err)
 	}
-	res := evaluate(p, spec, order, nil, 12, assign, nil, math.Inf(1))
-	res.Order = order
-	return res, nil
+	return evaluateOrder(p, spec, order, nil, 12, assign, nil, math.Inf(1))
 }
 
 // ClassAssignment returns the prior-work static assignment: contraction
@@ -645,368 +657,6 @@ func FuseMaxAssignment(p *Problem, spec arch.Spec) map[string]perf.ArrayKind {
 		}
 	}
 	return assign
-}
-
-// evaluate runs the Eq. 43–46 DP over explicitEpochs epochs and
-// extrapolates to p.Epochs. first, when non-nil, is the bipartition's first
-// subgraph: the instance sequence then interleaves the second subgraph of
-// epoch k-1 with the first subgraph of epoch k (Figure 7(d)); a nil first
-// yields plain epoch-major sequencing. When fixedAssign is non-nil each op
-// is pinned to its assigned array; otherwise the DP chooses per Eq. 45.
-// cells, when non-nil, counts DP instance placements.
-//
-// bound, when finite, is a warm-start incumbent total: the sweeps abort
-// with +Inf as soon as a sound lower bound of this candidate's final
-// extrapolated total exceeds it (see sweepBound). An infinite bound runs
-// the exact historical cold path — same sweeps, same order, same upfront
-// cell accounting.
-func evaluate(p *Problem, spec arch.Spec, order []string, first map[string]bool, explicitEpochs int, fixedAssign map[string]perf.ArrayKind, cells *obs.Counter, bound float64) Result {
-	k := explicitEpochs
-	if int64(k) > p.Epochs {
-		k = int(p.Epochs)
-	}
-	if k < 1 {
-		k = 1
-	}
-	warm := !math.IsInf(bound, 1)
-
-	if int64(k) >= p.Epochs {
-		// All epochs explicit: the makespan is the total, so the incumbent
-		// bounds the sweep directly (scale 0 = no extrapolation term).
-		var sb *sweepBound
-		if warm {
-			sb = &sweepBound{limit: bound}
-		}
-		mkAll, busyAll, assign := schedule(p, spec, buildSequence(order, first, k), fixedAssign, cells, sb)
-		return Result{
-			TotalCycles: mkAll,
-			Busy1D:      busyAll[perf.PE1D],
-			Busy2D:      busyAll[perf.PE2D],
-			Assignment:  assign,
-		}
-	}
-
-	// Steady-state extrapolation: average the per-epoch increment over the
-	// second half of the explicit window, which smooths periodic placement
-	// patterns (e.g. every fifth GEMM spilling to the 1D array).
-	base := k / 2
-	if base < 1 {
-		base = 1
-	}
-	span := float64(k - base)
-	rest := float64(p.Epochs - int64(k))
-
-	if !warm {
-		mkAll, busyAll, assign := schedule(p, spec, buildSequence(order, first, k), fixedAssign, cells, nil)
-		mkBase, busyBase, _ := schedule(p, spec, buildSequence(order, first, base), fixedAssign, cells, nil)
-		deltaMk := (mkAll - mkBase) / span
-		delta1 := (busyAll[perf.PE1D] - busyBase[perf.PE1D]) / span
-		delta2 := (busyAll[perf.PE2D] - busyBase[perf.PE2D]) / span
-		return Result{
-			TotalCycles: mkAll + deltaMk*rest,
-			Busy1D:      busyAll[perf.PE1D] + delta1*rest,
-			Busy2D:      busyAll[perf.PE2D] + delta2*rest,
-			Assignment:  assign,
-		}
-	}
-
-	if len(first) == 0 {
-		// Epoch-major sequences nest: the base window is a strict prefix of
-		// the full sequence and the DP is a deterministic left-to-right
-		// recurrence, so one bounded sweep with a checkpoint at the base
-		// boundary recovers bit-identical (mkBase, busyBase) values to the
-		// cold path's separate base sweep — at two thirds of its cells, plus
-		// whatever the bound aborts.
-		sb := &sweepBound{limit: bound, scale: rest / span, checkpoint: base * len(order)}
-		mkAll, busyAll, assign := schedule(p, spec, buildSequence(order, nil, k), fixedAssign, cells, sb)
-		if math.IsInf(mkAll, 1) {
-			return Result{TotalCycles: math.Inf(1), Busy1D: busyAll[perf.PE1D], Busy2D: busyAll[perf.PE2D], Assignment: assign}
-		}
-		deltaMk := (mkAll - sb.ckMk) / span
-		delta1 := (busyAll[perf.PE1D] - sb.ckBusy1) / span
-		delta2 := (busyAll[perf.PE2D] - sb.ckBusy2) / span
-		return Result{
-			TotalCycles: mkAll + deltaMk*rest,
-			Busy1D:      busyAll[perf.PE1D] + delta1*rest,
-			Busy2D:      busyAll[perf.PE2D] + delta2*rest,
-			Assignment:  assign,
-		}
-	}
-
-	// Bipartition sequences do not nest (the base window interleaves
-	// differently), and greedy list-scheduling anomalies mean mkAll >= mkBase
-	// is unproven — so the base sweep runs unbounded, exactly as cold, and
-	// only the full sweep gets the slope-aware bound seeded with the exact
-	// mkBase.
-	mkBase, busyBase, _ := schedule(p, spec, buildSequence(order, first, base), fixedAssign, cells, nil)
-	if math.IsInf(mkBase, 1) {
-		// The order violates a dependency; the full sweep would be +Inf too.
-		// Return a clean +Inf rather than extrapolating Inf-Inf into NaN.
-		return Result{TotalCycles: math.Inf(1), Busy1D: busyBase[perf.PE1D], Busy2D: busyBase[perf.PE2D]}
-	}
-	sb := &sweepBound{limit: bound, mkBase: mkBase, scale: rest / span}
-	mkAll, busyAll, assign := schedule(p, spec, buildSequence(order, first, k), fixedAssign, cells, sb)
-	if math.IsInf(mkAll, 1) {
-		return Result{TotalCycles: math.Inf(1), Busy1D: busyAll[perf.PE1D], Busy2D: busyAll[perf.PE2D], Assignment: assign}
-	}
-	deltaMk := (mkAll - mkBase) / span
-	delta1 := (busyAll[perf.PE1D] - busyBase[perf.PE1D]) / span
-	delta2 := (busyAll[perf.PE2D] - busyBase[perf.PE2D]) / span
-	return Result{
-		TotalCycles: mkAll + deltaMk*rest,
-		Busy1D:      busyAll[perf.PE1D] + delta1*rest,
-		Busy2D:      busyAll[perf.PE2D] + delta2*rest,
-		Assignment:  assign,
-	}
-}
-
-// sweepBound arms one schedule sweep with a warm-start abort: the sweep
-// stops, returning +Inf, as soon as lb(m) > limit, where m is the monotone
-// prefix makespan and lb is a provable lower bound of the candidate's final
-// extrapolated total. Soundness:
-//
-//   - Before the checkpoint of a nesting (epoch-major) sweep, and whenever
-//     no extrapolation applies (scale 0), lb = m: the final makespan is at
-//     least any prefix makespan, and the extrapolated total adds a
-//     non-negative term.
-//   - Past the checkpoint (or with mkBase supplied), lb = f(m) =
-//     m + (m-mkBase)*scale. f is increasing in m (scale >= 0) and the final
-//     total equals f(final makespan) with final makespan >= m, so
-//     f(m) <= total.
-//
-// Because the limit carries a relative slack, a candidate whose exact total
-// ties the incumbent is never aborted by rounding in f — warm pruning only
-// removes candidates that are strictly worse than the hinted incumbent.
-type sweepBound struct {
-	limit  float64 // abort threshold (the hinted incumbent total, plus slack)
-	mkBase float64 // base-window makespan for the extrapolated bound (bipartition sweeps)
-	scale  float64 // rest/span extrapolation factor; 0 disables the slope term
-	// checkpoint, when positive, is the instance index ending the base
-	// window of a nesting sweep; the DP state there is recorded below and
-	// stands in for the cold path's separate base sweep.
-	checkpoint int
-	ckMk       float64
-	ckBusy1    float64
-	ckBusy2    float64
-}
-
-// buildSequence constructs the global instance processing sequence for the
-// DP. Without a bipartition the sequence is epoch-major. With a bipartition
-// (S1 = first, S2 = the rest) the sequence realises Figure 7(d)'s pipeline:
-// pass k interleaves epoch k's S1 instances with epoch k-1's S2 instances,
-// following the candidate order's relative positions, with a trailing drain
-// pass for the final epoch's S2. Dependency safety follows from the
-// bipartition's dependency completeness (no S2 -> S1 edges): every
-// instance's predecessors appear earlier in the sequence.
-func buildSequence(order []string, first map[string]bool, epochs int) []instance {
-	if first == nil || len(first) == 0 {
-		seq := make([]instance, 0, len(order)*epochs)
-		for k := 0; k < epochs; k++ {
-			for _, name := range order {
-				seq = append(seq, instance{name, k})
-			}
-		}
-		return seq
-	}
-	seq := make([]instance, 0, len(order)*(epochs+1))
-	for k := 0; k <= epochs; k++ {
-		for _, name := range order {
-			if first[name] && k < epochs {
-				seq = append(seq, instance{name, k})
-			}
-			if !first[name] && k > 0 {
-				seq = append(seq, instance{name, k - 1})
-			}
-		}
-	}
-	return seq
-}
-
-// instance identifies one op execution in one epoch.
-type instance struct {
-	name  string
-	epoch int
-}
-
-// schedule is the core DP (Eqs. 43–46): process op instances epoch-major in
-// the candidate order; for each, pick the array minimising completion time
-// given (a) the array's accumulated occupancy Time[pe_j] (Eq. 43 first
-// term) and (b) the latest finishing dependency (Eq. 43 second term).
-// Eq. 44 adds the op latency per array, Eq. 45 selects the earliest
-// completion, and Eq. 46 commits the chosen array's timeline. Returns the
-// makespan, per-array busy cycles, and the last epoch's array assignment.
-// cells is credited with one increment per instance placed (nil-safe; on a
-// cold sweep a single upfront Add covering the whole sequence, so the inner
-// loop stays allocation-free; on a bounded sweep the instances actually
-// placed, credited when the sweep ends or aborts).
-//
-// sb, when non-nil, arms the warm-start abort (see sweepBound): the sweep
-// returns +Inf as soon as the candidate provably cannot beat sb.limit. A
-// nil sb is the exact historical sweep.
-func schedule(p *Problem, spec arch.Spec, seq []instance, fixedAssign map[string]perf.ArrayKind, cells *obs.Counter, sb *sweepBound) (float64, map[perf.ArrayKind]float64, map[string]perf.ArrayKind) {
-	if sb == nil {
-		cells.Add(int64(len(seq)))
-	}
-	timeline := map[perf.ArrayKind]float64{perf.PE2D: 0, perf.PE1D: 0}
-	busy := map[perf.ArrayKind]float64{perf.PE2D: 0, perf.PE1D: 0}
-	endT := make(map[instance]float64, len(seq))
-	assign := make(map[string]perf.ArrayKind, len(p.Ops))
-	makespan := 0.0
-
-	for i, inst := range seq {
-		name, epoch := inst.name, inst.epoch
-		op := p.Ops[name]
-		// Latest dependency completion: intra-epoch predecessors plus
-		// cross-epoch state edges from the previous epoch. A predecessor
-		// instance that has not been scheduled yet means the candidate
-		// sequence violates a dependency (possible when a state producer
-		// lands in the second subgraph while its consumer sits in the
-		// first); such sequences are rejected with an infinite makespan.
-		depEnd := 0.0
-		for _, pred := range p.Deps.Pred(name) {
-			e, ok := endT[instance{pred, epoch}]
-			if !ok {
-				if sb != nil {
-					cells.Add(int64(i + 1))
-				}
-				return math.Inf(1), busy, assign
-			}
-			if e > depEnd {
-				depEnd = e
-			}
-		}
-		if epoch > 0 {
-			for _, se := range p.StateEdges {
-				if se.To != name {
-					continue
-				}
-				e, ok := endT[instance{se.From, epoch - 1}]
-				if !ok {
-					if sb != nil {
-						cells.Add(int64(i + 1))
-					}
-					return math.Inf(1), busy, assign
-				}
-				if e > depEnd {
-					depEnd = e
-				}
-			}
-		}
-
-		arrays := []perf.ArrayKind{perf.PE2D, perf.PE1D}
-		if fixedAssign != nil {
-			arrays = []perf.ArrayKind{fixedAssign[name]}
-		}
-		bestEnd := math.Inf(1)
-		var bestArr perf.ArrayKind
-		var bestCycles float64
-		for _, arr := range arrays {
-			cyc := op.Cycles(spec, arr)
-			start := math.Max(timeline[arr], depEnd) // Eq. 43
-			end := start + cyc                       // Eq. 44
-			if end < bestEnd {                       // Eq. 45
-				bestEnd, bestArr, bestCycles = end, arr, cyc
-			}
-		}
-		timeline[bestArr] = bestEnd // Eq. 46
-		busy[bestArr] += bestCycles
-		endT[inst] = bestEnd
-		assign[name] = bestArr
-		if bestEnd > makespan {
-			makespan = bestEnd
-		}
-
-		if sb != nil {
-			if i+1 == sb.checkpoint {
-				sb.ckMk = makespan
-				sb.ckBusy1 = busy[perf.PE1D]
-				sb.ckBusy2 = busy[perf.PE2D]
-			}
-			// Lower-bound the final extrapolated total (see sweepBound's
-			// soundness note) and abort once it clears the incumbent.
-			lb := makespan
-			if sb.scale > 0 && (sb.checkpoint == 0 || i+1 > sb.checkpoint) {
-				mb := sb.mkBase
-				if sb.checkpoint > 0 {
-					mb = sb.ckMk
-				}
-				lb = makespan + (makespan-mb)*sb.scale
-			}
-			if lb > sb.limit {
-				cells.Add(int64(i + 1))
-				return math.Inf(1), busy, assign
-			}
-		}
-	}
-	if sb != nil {
-		cells.Add(int64(len(seq)))
-	}
-	return makespan, busy, assign
-}
-
-// candidate is one (ordering, bipartition) schedule to evaluate, with the
-// canonical key the reduction uses as its deterministic tie-break.
-type candidate struct {
-	order []string
-	part  graph.Bipartition
-	key   string
-}
-
-// candidateSet accumulates candidate schedules, skipping duplicates under an
-// unambiguous canonical key — order and First set joined with separator
-// bytes no op name can contain. The skip counter makes collisions
-// observable.
-//
-// With the current enumeration the counter is defensive and stays at zero:
-// TopoOrders backtracks without ever emitting the same ordering twice, each
-// bipartition is uniquely determined by its First set, and the canonical
-// order is added with an empty First set no bipartition can share (both
-// sides of a valid bipartition are non-empty). It exists because an earlier
-// fmt.Sprint-based key *could* collide, and because future enumeration
-// strategies (rotations, sampled orders) may legitimately regenerate a
-// candidate — the dedup, not the enumerator, is what guarantees the
-// evaluated set is collision-free.
-type candidateSet struct {
-	list  []candidate
-	seen  map[string]bool
-	dups  int
-	dedup *obs.Counter
-}
-
-func newCandidateSet(dedup *obs.Counter) *candidateSet {
-	return &candidateSet{seen: map[string]bool{}, dedup: dedup}
-}
-
-// add records the candidate unless an identical (order, First) pair was
-// already added, in which case the dedup counter fires; duplicates would
-// schedule identically, so evaluating them would only waste DP sweeps.
-func (cs *candidateSet) add(order []string, part graph.Bipartition) {
-	key := strings.Join(order, "\x1f") + "\x1e" + strings.Join(part.FirstSorted(), "\x1f")
-	if cs.seen[key] {
-		cs.dups++
-		cs.dedup.Inc()
-		return
-	}
-	cs.seen[key] = true
-	cs.list = append(cs.list, candidate{order: order, part: part, key: key})
-}
-
-// skipped returns how many duplicate adds were rejected, independent of any
-// metrics registry.
-func (cs *candidateSet) skipped() int { return cs.dups }
-
-// keyedParts sorts a bipartition slice and its precomputed canonical keys in
-// lockstep.
-type keyedParts struct {
-	keys  []string
-	parts []graph.Bipartition
-}
-
-func (k *keyedParts) Len() int           { return len(k.keys) }
-func (k *keyedParts) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
-func (k *keyedParts) Swap(i, j int) {
-	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
-	k.parts[i], k.parts[j] = k.parts[j], k.parts[i]
 }
 
 // resolveParallelism maps an Options.Parallelism value to a worker count.

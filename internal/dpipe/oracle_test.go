@@ -8,6 +8,7 @@ import (
 
 	"github.com/fusedmindlab/transfusion/internal/arch"
 	"github.com/fusedmindlab/transfusion/internal/graph"
+	"github.com/fusedmindlab/transfusion/internal/obs"
 	"github.com/fusedmindlab/transfusion/internal/perf"
 )
 
@@ -18,8 +19,8 @@ import (
 // latest dependency — intra-epoch predecessors plus previous-epoch state
 // edges (second term); Eq. 44 adds the latency, Eq. 45 takes the earlier
 // completion with the 2D array preferred on ties, Eq. 46 commits the
-// timeline. It shares no code with schedule()/evaluate() beyond the Problem
-// definition and OpSpec.Cycles.
+// timeline. It shares no code with the compiled DP (compiled.go) beyond the
+// Problem definition and OpSpec.Cycles.
 func refDP(p *Problem, spec arch.Spec, order []string, epochs int) (makespan, busy1, busy2 float64) {
 	avail := map[perf.ArrayKind]float64{}
 	end := map[string]float64{} // "name@epoch" -> completion
@@ -119,6 +120,16 @@ func randomProblem(rng *rand.Rand, caseIdx int) *Problem {
 	return p
 }
 
+// mustEvaluateOrder evaluates one candidate with the compiled DP.
+func mustEvaluateOrder(t *testing.T, p *Problem, spec arch.Spec, order []string, first map[string]bool, explicitEpochs int, fixedAssign map[string]perf.ArrayKind, cells *obs.Counter, bound float64) Result {
+	t.Helper()
+	res, err := evaluateOrder(p, spec, order, first, explicitEpochs, fixedAssign, cells, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestScheduleMatchesDPOracle runs ~1k seeded random problems through the
 // production DP with explicitEpochs >= Epochs — the exact path, no
 // extrapolation — and requires bit-identical makespan and busy counters
@@ -136,7 +147,7 @@ func TestScheduleMatchesDPOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			epochs := int(p.Epochs)
-			res := evaluate(p, spec, order, nil, epochs, nil, nil, math.Inf(1))
+			res := mustEvaluateOrder(t, p, spec, order, nil, epochs, nil, nil, math.Inf(1))
 			wantMk, want1, want2 := refDP(p, spec, order, epochs)
 			if res.TotalCycles != wantMk {
 				t.Fatalf("%s case %d (%s): makespan %v, oracle %v", spec.Name, i, p.Name, res.TotalCycles, wantMk)
@@ -167,7 +178,7 @@ func TestEvaluateExtrapolationBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := evaluate(p, spec, order, nil, explicit, nil, nil, math.Inf(1))
+		got := mustEvaluateOrder(t, p, spec, order, nil, explicit, nil, nil, math.Inf(1))
 		windowMk, _, _ := refDP(p, spec, order, explicit)
 		exactMk, _, _ := refDP(p, spec, order, int(p.Epochs))
 		serial := p.SerialLoadCycles(spec)
@@ -194,7 +205,7 @@ func TestEvaluateExtrapolationExactOnCleanPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := evaluate(p, spec, order, nil, 12, nil, nil, math.Inf(1))
+	got := mustEvaluateOrder(t, p, spec, order, nil, 12, nil, nil, math.Inf(1))
 	exactMk, _, _ := refDP(p, spec, order, 400)
 	if rel := math.Abs(got.TotalCycles-exactMk) / exactMk; rel > 0.01 {
 		t.Errorf("extrapolated makespan %v vs exact %v (%.2f%% off)", got.TotalCycles, exactMk, rel*100)

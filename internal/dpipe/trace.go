@@ -2,7 +2,6 @@ package dpipe
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -31,7 +30,8 @@ type Trace struct {
 }
 
 // TraceSchedule replays the Eq. 43–46 DP for the given candidate order and
-// bipartition over `epochs` explicit epochs, recording every placement.
+// bipartition over `epochs` explicit epochs, recording every placement: the
+// same compiled sweep Plan runs, with a placement recorder attached.
 // A nil `first` uses epoch-major sequencing; otherwise the Figure 7(d)
 // interleaving. fixedAssign pins arrays as in StaticPipelined.
 func TraceSchedule(p *Problem, spec arch.Spec, order []string, first map[string]bool, epochs int, fixedAssign map[string]perf.ArrayKind) (*Trace, error) {
@@ -48,64 +48,22 @@ func TraceSchedule(p *Problem, spec arch.Spec, order []string, first map[string]
 		}
 		order = canon
 	}
-	seq := buildSequence(order, first, epochs)
-
-	timeline := map[perf.ArrayKind]float64{perf.PE2D: 0, perf.PE1D: 0}
-	endT := make(map[instance]float64, len(seq))
-	tr := &Trace{Problem: p.Name, Epochs: epochs}
-
-	for _, inst := range seq {
-		op := p.Ops[inst.name]
-		depEnd := 0.0
-		for _, pred := range p.Deps.Pred(inst.name) {
-			e, ok := endT[instance{pred, inst.epoch}]
-			if !ok {
-				return nil, fmt.Errorf("dpipe: trace: dependency %s@%d unscheduled before %s@%d",
-					pred, inst.epoch, inst.name, inst.epoch)
-			}
-			if e > depEnd {
-				depEnd = e
-			}
-		}
-		if inst.epoch > 0 {
-			for _, se := range p.StateEdges {
-				if se.To != inst.name {
-					continue
-				}
-				e, ok := endT[instance{se.From, inst.epoch - 1}]
-				if !ok {
-					return nil, fmt.Errorf("dpipe: trace: state dependency %s@%d unscheduled before %s@%d",
-						se.From, inst.epoch-1, inst.name, inst.epoch)
-				}
-				if e > depEnd {
-					depEnd = e
-				}
-			}
-		}
-
-		arrays := []perf.ArrayKind{perf.PE2D, perf.PE1D}
-		if fixedAssign != nil {
-			arrays = []perf.ArrayKind{fixedAssign[inst.name]}
-		}
-		bestEnd := math.Inf(1)
-		var bestArr perf.ArrayKind
-		var bestStart float64
-		for _, arr := range arrays {
-			start := math.Max(timeline[arr], depEnd)
-			end := start + op.Cycles(spec, arr)
-			if end < bestEnd {
-				bestEnd, bestArr, bestStart = end, arr, start
-			}
-		}
-		timeline[bestArr] = bestEnd
-		endT[instance{inst.name, inst.epoch}] = bestEnd
-		tr.Entries = append(tr.Entries, TraceEntry{
-			Op: inst.name, Epoch: inst.epoch, Array: bestArr, Start: bestStart, End: bestEnd,
-		})
-		if bestEnd > tr.Makespan {
-			tr.Makespan = bestEnd
-		}
+	c, err := compile(p, spec, fixedAssign)
+	if err != nil {
+		return nil, fmt.Errorf("dpipe: trace: %w", err)
 	}
+	ord, err := c.opIndices(order)
+	if err != nil {
+		return nil, fmt.Errorf("dpipe: trace: problem %s: %w", p.Name, err)
+	}
+	var s scratch
+	s.seq = sequence(nil, ord, c.firstSet(first), epochs)
+	rec := &recorder{entries: make([]TraceEntry, 0, len(s.seq))}
+	makespan, _ := c.sweep(&s, s.seq, epochs, nil, nil, nil, rec)
+	if rec.err != nil {
+		return nil, rec.err
+	}
+	tr := &Trace{Problem: p.Name, Epochs: epochs, Entries: rec.entries, Makespan: makespan}
 	// Deterministic entry order regardless of how the candidate sequence
 	// interleaved the instances: sort by start time, breaking ties by op
 	// name then epoch, so traces diff cleanly and exports are reproducible.
@@ -120,6 +78,12 @@ func TraceSchedule(p *Problem, spec arch.Spec, order []string, first map[string]
 		return a.Epoch < b.Epoch
 	})
 	return tr, nil
+}
+
+// instance identifies one op execution in one epoch.
+type instance struct {
+	name  string
+	epoch int
 }
 
 // Validate checks the trace's structural invariants: entries on the same

@@ -114,3 +114,18 @@ func TestInvalidWarmHintIsIgnored(t *testing.T) {
 		}
 	}
 }
+
+// Zero-value Options take the default bounds but keep every caller-set
+// field: a warm hint given without explicit caps still prunes, and the
+// winner is the cold one.
+func TestWarmHintKeptUnderZeroOptions(t *testing.T) {
+	p := mhaProblem(t, 16)
+	cold, coldCells := planCells(t, p, Options{})
+	warm, warmCells := planCells(t, p, Options{WarmHints: []Hint{{Order: cold.Order, First: cold.Bipartition.FirstSorted()}}})
+	if !reflect.DeepEqual(warm, cold) {
+		t.Fatalf("warm winner diverged from cold:\nwarm %+v\ncold %+v", warm, cold)
+	}
+	if warmCells >= coldCells {
+		t.Fatalf("zero-value options with a hint spent %d DP cells, cold %d — the hint was dropped", warmCells, coldCells)
+	}
+}
