@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/fusedmindlab/transfusion"
 	"github.com/fusedmindlab/transfusion/internal/arch"
 	"github.com/fusedmindlab/transfusion/internal/dpipe"
 	"github.com/fusedmindlab/transfusion/internal/experiments"
@@ -36,6 +37,7 @@ func benchOpts() pipeline.Options {
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
+		dpipe.ResetFronts()
 		runner := experiments.NewRunner(benchOpts())
 		e, err := experiments.ByID(id)
 		if err != nil {
@@ -99,8 +101,10 @@ func BenchmarkAblationDPipe(b *testing.B)    { benchExperiment(b, "ablation-dpip
 
 // The DPipe and evaluation benchmarks report host-independent counts from an
 // obs registry next to ns/op: dp_cells/op (DP instance placements),
-// candidates/op (schedules evaluated per plan) and evals/op (objective
-// evaluations on TileSeek's master trajectory).
+// candidates/op (schedules per plan) and evals/op (objective evaluations on
+// TileSeek's master trajectory). Every benchmark that plans empties the DPipe
+// front cache at the start of each iteration, so an iteration costs what it
+// would in a fresh process and its counts do not depend on b.N.
 
 func BenchmarkDPipePlanMHA(b *testing.B) { benchDPipePlan(b, "mha") }
 func BenchmarkDPipePlanFFN(b *testing.B) { benchDPipePlan(b, "ffn") }
@@ -112,12 +116,43 @@ func benchDPipePlan(b *testing.B, layer string) {
 	ctx := obs.WithMetrics(context.Background(), reg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		dpipe.ResetFronts()
 		if _, err := dpipe.PlanContext(ctx, prob, spec, dpipe.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
 	reportPerOp(b, reg, "dpipe.dp_cells", "dp_cells/op")
 	reportPerOp(b, reg, "dpipe.candidates", "candidates/op")
+}
+
+// BenchmarkRunContext runs a fixed list of cold-search specs (two arches,
+// two models, three sequence lengths, search budget 8) through RunContext
+// at Parallelism 1. One op is the whole list from an empty DPipe front
+// cache, so its counts repeat exactly: dp_cells/op, front_hits/op (DPipe
+// plans answered from a front another spec or rollout left) and allocs/op.
+func BenchmarkRunContext(b *testing.B) {
+	var specs []transfusion.RunSpec
+	for _, a := range []string{"cloud", "edge"} {
+		for _, m := range []string{"bert", "llama3"} {
+			for _, seq := range []int{1 << 10, 1 << 13, 1 << 15} {
+				specs = append(specs, transfusion.RunSpec{Arch: a, Model: m, SeqLen: seq, System: "transfusion", SearchBudget: 8, Parallelism: 1})
+			}
+		}
+	}
+	reg := obs.NewRegistry()
+	ctx := obs.WithMetrics(context.Background(), reg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dpipe.ResetFronts()
+		for _, s := range specs {
+			if _, err := transfusion.RunContext(ctx, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	reportPerOp(b, reg, "dpipe.dp_cells", "dp_cells/op")
+	reportPerOp(b, reg, "dpipe.front_hits", "front_hits/op")
 }
 
 func BenchmarkEvaluateTransFusionCloud64K(b *testing.B) { benchEvaluate(b, "cloud") }
@@ -127,6 +162,7 @@ func benchEvaluate(b *testing.B, archName string) {
 	reg := obs.NewRegistry()
 	ctx := obs.WithMetrics(context.Background(), reg)
 	for i := 0; i < b.N; i++ {
+		dpipe.ResetFronts()
 		if _, err := experimentsEval(ctx, archName); err != nil {
 			b.Fatal(err)
 		}
@@ -207,6 +243,7 @@ func benchSearchParallel(b *testing.B, spec arch.Spec, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		dpipe.ResetFronts()
 		res, err := tileseek.SearchWithOptions(context.Background(), space, objective, tileseek.Options{
 			Iterations: 64, Seed: 1, Parallelism: workers,
 		})
@@ -228,6 +265,7 @@ func BenchmarkPlanParallel(b *testing.B) {
 			opts := dpipe.DefaultOptions()
 			opts.Parallelism = workers
 			for i := 0; i < b.N; i++ {
+				dpipe.ResetFronts()
 				if _, err := dpipe.Plan(prob, spec, opts); err != nil {
 					b.Fatal(err)
 				}
@@ -264,6 +302,7 @@ func BenchmarkSearchWarm(b *testing.B) {
 			ctx := obs.WithMetrics(context.Background(), reg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				dpipe.ResetFronts()
 				if _, err := pipeline.EvaluateContext(ctx, w, spec, pipeline.TransFusion(), opts); err != nil {
 					b.Fatal(err)
 				}
@@ -293,6 +332,7 @@ func BenchmarkPlanWarm(b *testing.B) {
 			ctx := obs.WithMetrics(context.Background(), reg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				dpipe.ResetFronts()
 				if _, err := dpipe.PlanContext(ctx, prob, spec, opts); err != nil {
 					b.Fatal(err)
 				}

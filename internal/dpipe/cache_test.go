@@ -81,6 +81,7 @@ func TestCandidateCacheHitMatchesMiss(t *testing.T) {
 	if cachedEnumeration(key) == nil {
 		t.Fatal("a complete enumeration was not cached")
 	}
+	ResetFronts() // an enumeration hit that still sweeps every candidate
 	hit, hitCounts, hitEvents := planObserved(t, p, DefaultOptions())
 	if !reflect.DeepEqual(hit, miss) {
 		t.Fatalf("cached plan diverged:\nhit  %+v\nmiss %+v", hit, miss)

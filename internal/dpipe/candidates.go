@@ -2,7 +2,9 @@ package dpipe
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -91,6 +93,155 @@ type enumeration struct {
 	// valid is the number of valid bipartitions found; explored is the
 	// prefix of them, in canonical-key order, that contributed orderings.
 	valid, explored int
+
+	// fronts maps a cost key (see compiled.frontKey) to what the plans of
+	// this shape under that cost table learned (see front), evicting the
+	// oldest key once frontsPerShape are held. Unlike the fields above, it
+	// grows after the enumeration is shared, so it is guarded by mu.
+	mu        sync.Mutex
+	fronts    map[string]*front
+	frontKeys []string // insertion order, oldest first
+}
+
+// frontsPerShape bounds the fronts one cached enumeration holds, and with
+// candidateCacheSize the whole cache. A front averages about three entries
+// and its key is the op count times 16 bytes, so a full shape costs well
+// under a megabyte; a cold search over every model, arch and sequence length
+// of the evaluation touches a few hundred keys per shape.
+const frontsPerShape = 2048
+
+// front is what one plan's sweeps tell every later plan under the same cost
+// key, at any epoch count: all such plans share the explicit window, so a
+// candidate's total is extrapolated(mkAll, slope, rest) with rest >= 0, and
+// only rest differs.
+//
+// entries are the fully swept candidates that can still win. Candidate j
+// is dropped when some i has mkAll_i <= mkAll_j, slope_i <= slope_j and
+// key_i < key_j: rounding to nearest is monotone, so i's total is <= j's at
+// every rest and i wins a tie. Candidates whose mkAll or slope is +Inf or
+// NaN total +Inf or NaN at every rest and never win, so they go too.
+//
+// bounds are lower bounds of the candidates a warm plan pruned, (mkAll,
+// slope) pairs no larger than the candidate's own; a bound no entry
+// dominates (as above) and no other bound undercuts in both coordinates is
+// kept. A later plan whose best entry total is below every bound's total is
+// answered exactly; otherwise it sweeps every candidate again.
+type front struct {
+	entries []frontEntry
+	bounds  []frontEntry // cand unused
+}
+
+// frontEntry is one candidate's index in enumeration.cands and its
+// explicit-window figures (see outcome).
+type frontEntry struct {
+	cand         int
+	mkAll, slope float64
+}
+
+// newFront reduces a plan's outcomes, indexed like cands, to a front.
+func newFront(cands []candidate, results []outcome) *front {
+	var exact, pruned []int
+	unbounded := false
+	for i, r := range results {
+		switch {
+		case r.pruned && (math.IsNaN(r.mkAll) || math.IsNaN(r.slope)):
+			unbounded = true
+		case r.pruned:
+			pruned = append(pruned, i)
+		case !math.IsInf(r.mkAll, 1) && !math.IsNaN(r.mkAll) && !math.IsInf(r.slope, 1) && !math.IsNaN(r.slope):
+			exact = append(exact, i)
+		}
+	}
+	// A dominator sorts before what it dominates, and domination is
+	// transitive, so comparing against the kept entries alone suffices.
+	byFigures := func(idx []int) {
+		sort.Slice(idx, func(a, b int) bool {
+			ra, rb := results[idx[a]], results[idx[b]]
+			if ra.mkAll != rb.mkAll {
+				return ra.mkAll < rb.mkAll
+			}
+			if ra.slope != rb.slope {
+				return ra.slope < rb.slope
+			}
+			return cands[idx[a]].key < cands[idx[b]].key
+		})
+	}
+	byFigures(exact)
+	f := &front{}
+	dominated := func(j int) bool {
+		r := results[j]
+		for _, e := range f.entries {
+			if e.mkAll <= r.mkAll && e.slope <= r.slope && cands[e.cand].key < cands[j].key {
+				return true
+			}
+		}
+		return false
+	}
+	for _, j := range exact {
+		if !dominated(j) {
+			f.entries = append(f.entries, frontEntry{cand: j, mkAll: results[j].mkAll, slope: results[j].slope})
+		}
+	}
+	if unbounded {
+		// A pruned candidate without a usable bound: no total clears it.
+		f.bounds = []frontEntry{{mkAll: math.Inf(-1), slope: math.Inf(-1)}}
+		return f
+	}
+	byFigures(pruned)
+	for _, j := range pruned {
+		r := results[j]
+		if math.IsInf(r.mkAll, 1) || math.IsInf(r.slope, 1) || dominated(j) {
+			continue
+		}
+		// Sorted by mkAll, a bound is undercut exactly when an earlier kept
+		// one has a slope no larger.
+		if n := len(f.bounds); n > 0 && f.bounds[n-1].slope <= r.slope {
+			continue
+		}
+		f.bounds = append(f.bounds, frontEntry{mkAll: r.mkAll, slope: r.slope})
+	}
+	return f
+}
+
+// cachedFront returns the front stored under key, or nil.
+func (e *enumeration) cachedFront(key []byte) *front {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.fronts[string(key)]
+}
+
+// storeFront records f under key, replacing an older front for the key or
+// else evicting the oldest key once full.
+func (e *enumeration) storeFront(key []byte, f *front) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, ok := e.fronts[string(key)]; ok {
+		e.fronts[string(key)] = f
+		return
+	}
+	if e.fronts == nil {
+		e.fronts = make(map[string]*front)
+	}
+	if len(e.frontKeys) >= frontsPerShape {
+		delete(e.fronts, e.frontKeys[0])
+		e.frontKeys = e.frontKeys[1:]
+	}
+	k := string(key)
+	e.fronts[k] = f
+	e.frontKeys = append(e.frontKeys, k)
+}
+
+// ResetFronts drops every cached front, so the next plan of each problem
+// sweeps all of its candidates again. Benchmarks call it to measure the
+// uncached plan cost; the candidate enumerations stay cached.
+func ResetFronts() {
+	candidateCache.Lock()
+	defer candidateCache.Unlock()
+	for _, e := range candidateCache.entries {
+		e.mu.Lock()
+		e.fronts, e.frontKeys = nil, nil
+		e.mu.Unlock()
+	}
 }
 
 // enumerate runs the candidate enumeration for a problem. The returned
@@ -213,17 +364,42 @@ func shapeKey(c *compiled, opts Options) string {
 	return b.String()
 }
 
+// frontKey appends to dst what a candidate's explicit-window sweeps depend
+// on beyond the DAG shape of a PlanContext problem: the cycles table's float
+// bits, the state edges, the window k and whether it covers every epoch.
+// The op count is fixed by the shape and each state list is
+// length-prefixed, so the encoding is unambiguous.
+func (c *compiled) frontKey(dst []byte, k int, exact bool) []byte {
+	for _, cyc := range c.cycles {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cyc[0]))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cyc[1]))
+	}
+	for _, from := range c.state {
+		dst = binary.AppendUvarint(dst, uint64(len(from)))
+		for _, op := range from {
+			dst = binary.AppendUvarint(dst, uint64(op))
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(k))
+	if exact {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
 func cachedEnumeration(key string) *enumeration {
 	candidateCache.Lock()
 	defer candidateCache.Unlock()
 	return candidateCache.entries[key]
 }
 
-func storeEnumeration(key string, e *enumeration) {
+// storeEnumeration caches e under key and returns the cached entry: e, or
+// the one a concurrent plan of the same shape stored first.
+func storeEnumeration(key string, e *enumeration) *enumeration {
 	candidateCache.Lock()
 	defer candidateCache.Unlock()
-	if _, ok := candidateCache.entries[key]; ok {
-		return
+	if cur, ok := candidateCache.entries[key]; ok {
+		return cur
 	}
 	if len(candidateCache.order) >= candidateCacheSize {
 		delete(candidateCache.entries, candidateCache.order[0])
@@ -231,4 +407,5 @@ func storeEnumeration(key string, e *enumeration) {
 	}
 	candidateCache.entries[key] = e
 	candidateCache.order = append(candidateCache.order, key)
+	return e
 }

@@ -286,6 +286,7 @@ func (c *compiled) sweep(s *scratch, seq []slot, epochs int, cells *obs.Counter,
 				lb = makespan + (makespan-mb)*sb.scale
 			}
 			if lb > sb.limit {
+				sb.aborted, sb.abortMk, sb.abortAt = true, makespan, i+1
 				cells.Add(int64(i + 1))
 				return math.Inf(1), busy
 			}
@@ -311,11 +312,46 @@ func maxFloat(x, y float64) float64 {
 }
 
 // outcome is one candidate's extrapolated makespan and per-array busy
-// cycles (indexed by perf.ArrayKind).
+// cycles (indexed by perf.ArrayKind), with the explicit-window figures the
+// makespan was extrapolated from: mkAll, the window's makespan, and slope,
+// its steady-state per-epoch increment (0 when the window covers every
+// epoch). An unschedulable candidate reads +Inf in total and mkAll. A
+// pruned one reads +Inf in total, and mkAll and slope are lower bounds of
+// the figures its complete sweeps would have produced.
 type outcome struct {
-	total float64
-	busy  [2]float64
+	total  float64
+	busy   [2]float64
+	mkAll  float64
+	slope  float64
+	pruned bool
 }
+
+// window clamps an explicit-epoch count to the problem: the DP sweeps k
+// epochs exactly, and exact reports that they are all of them, so no
+// extrapolation applies.
+func (c *compiled) window(explicitEpochs int) (k int, exact bool) {
+	k = explicitEpochs
+	if int64(k) > c.epochs {
+		k = int(c.epochs)
+	}
+	if k < 1 {
+		k = 1
+	}
+	return k, int64(k) >= c.epochs
+}
+
+// rest is the number of epochs extrapolated beyond an explicit window of k.
+func (c *compiled) rest(k int) float64 { return float64(c.epochs - int64(k)) }
+
+// perEpoch is the steady-state per-epoch increment of a quantity that reads
+// base after the base window and all after the full window, span epochs
+// later.
+func perEpoch(all, base, span float64) float64 { return (all - base) / span }
+
+// extrapolated extends a full-window value by rest epochs at slope. Cold
+// plans and front hits (see front) both total a candidate through it, so the
+// two agree to the bit.
+func extrapolated(all, slope, rest float64) float64 { return all + slope*rest }
 
 // run builds the candidate's sequence over epochs explicit epochs in the
 // worker's scratch and sweeps it.
@@ -338,16 +374,10 @@ func (c *compiled) run(s *scratch, order []int, first []bool, epochs int, cells 
 // the exact cold path — same sweeps, same order, same upfront cell
 // accounting.
 func (c *compiled) evaluate(s *scratch, order []int, first []bool, explicitEpochs int, cells *obs.Counter, bound float64, assign []int8) outcome {
-	k := explicitEpochs
-	if int64(k) > c.epochs {
-		k = int(c.epochs)
-	}
-	if k < 1 {
-		k = 1
-	}
+	k, exact := c.window(explicitEpochs)
 	warm := !math.IsInf(bound, 1)
 
-	if int64(k) >= c.epochs {
+	if exact {
 		// All epochs explicit: the makespan is the total, so the incumbent
 		// bounds the sweep directly (scale 0 = no extrapolation term).
 		var sb *sweepBound
@@ -355,7 +385,10 @@ func (c *compiled) evaluate(s *scratch, order []int, first []bool, explicitEpoch
 			sb = &sweepBound{limit: bound}
 		}
 		mk, busy := c.run(s, order, first, k, cells, sb, assign)
-		return outcome{mk, busy}
+		if sb != nil && sb.aborted {
+			return outcome{total: math.Inf(1), busy: busy, mkAll: sb.abortMk, pruned: true}
+		}
+		return outcome{total: mk, busy: busy, mkAll: mk}
 	}
 
 	// Steady-state extrapolation: average the per-epoch increment over the
@@ -366,15 +399,14 @@ func (c *compiled) evaluate(s *scratch, order []int, first []bool, explicitEpoch
 		base = 1
 	}
 	span := float64(k - base)
-	rest := float64(c.epochs - int64(k))
+	rest := c.rest(k)
 	extrapolate := func(mkAll, mkBase float64, busyAll, busyBase [2]float64) outcome {
-		deltaMk := (mkAll - mkBase) / span
-		delta1 := (busyAll[perf.PE1D] - busyBase[perf.PE1D]) / span
-		delta2 := (busyAll[perf.PE2D] - busyBase[perf.PE2D]) / span
+		deltaMk := perEpoch(mkAll, mkBase, span)
 		var busy [2]float64
-		busy[perf.PE1D] = busyAll[perf.PE1D] + delta1*rest
-		busy[perf.PE2D] = busyAll[perf.PE2D] + delta2*rest
-		return outcome{mkAll + deltaMk*rest, busy}
+		for arr := range busy {
+			busy[arr] = extrapolated(busyAll[arr], perEpoch(busyAll[arr], busyBase[arr], span), rest)
+		}
+		return outcome{total: extrapolated(mkAll, deltaMk, rest), busy: busy, mkAll: mkAll, slope: deltaMk}
 	}
 
 	if !warm {
@@ -392,8 +424,17 @@ func (c *compiled) evaluate(s *scratch, order []int, first []bool, explicitEpoch
 		// whatever the bound aborts.
 		sb := &sweepBound{limit: bound, scale: rest / span, checkpoint: base * len(order)}
 		mkAll, busyAll := c.run(s, order, nil, k, cells, sb, assign)
+		if sb.aborted {
+			// The full sequence extends the base window, so mkAll >= mkBase
+			// and the slope is >= 0; past the checkpoint mkBase is known.
+			slope := 0.0
+			if sb.abortAt >= sb.checkpoint {
+				slope = perEpoch(sb.abortMk, sb.ckMk, span)
+			}
+			return outcome{total: math.Inf(1), busy: busyAll, mkAll: sb.abortMk, slope: slope, pruned: true}
+		}
 		if math.IsInf(mkAll, 1) {
-			return outcome{math.Inf(1), busyAll}
+			return outcome{total: math.Inf(1), busy: busyAll, mkAll: math.Inf(1)}
 		}
 		var busyBase [2]float64
 		busyBase[perf.PE1D], busyBase[perf.PE2D] = sb.ckBusy1, sb.ckBusy2
@@ -409,12 +450,15 @@ func (c *compiled) evaluate(s *scratch, order []int, first []bool, explicitEpoch
 	if math.IsInf(mkBase, 1) {
 		// The order violates a dependency; the full sweep would be +Inf too.
 		// Return a clean +Inf rather than extrapolating Inf-Inf into NaN.
-		return outcome{math.Inf(1), busyBase}
+		return outcome{total: math.Inf(1), busy: busyBase, mkAll: math.Inf(1)}
 	}
 	sb := &sweepBound{limit: bound, mkBase: mkBase, scale: rest / span}
 	mkAll, busyAll := c.run(s, order, first, k, cells, sb, assign)
+	if sb.aborted {
+		return outcome{total: math.Inf(1), busy: busyAll, mkAll: sb.abortMk, slope: perEpoch(sb.abortMk, mkBase, span), pruned: true}
+	}
 	if math.IsInf(mkAll, 1) {
-		return outcome{math.Inf(1), busyAll}
+		return outcome{total: math.Inf(1), busy: busyAll, mkAll: math.Inf(1)}
 	}
 	return extrapolate(mkAll, mkBase, busyAll, busyBase)
 }
@@ -436,6 +480,9 @@ func (c *compiled) evaluate(s *scratch, order []int, first []bool, explicitEpoch
 // Because the limit carries a relative slack, a candidate whose exact total
 // ties the incumbent is never aborted by rounding in f — warm pruning only
 // removes candidates that are strictly worse than the hinted incumbent.
+//
+// An aborted sweep records its prefix makespan m, a lower bound of the
+// complete sweep's makespan that the front cache keeps (see front).
 type sweepBound struct {
 	limit  float64 // abort threshold (the hinted incumbent total, plus slack)
 	mkBase float64 // base-window makespan for the extrapolated bound (bipartition sweeps)
@@ -447,6 +494,11 @@ type sweepBound struct {
 	ckMk       float64
 	ckBusy1    float64
 	ckBusy2    float64
+	// aborted is set when the sweep stopped on the bound, after abortAt
+	// instances with prefix makespan abortMk.
+	aborted bool
+	abortMk float64
+	abortAt int
 }
 
 // evaluateOrder compiles the problem and evaluates one candidate with the

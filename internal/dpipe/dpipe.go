@@ -123,7 +123,8 @@ type Result struct {
 	// Bipartition is the winning DAG split ("" sides when the DAG admitted
 	// no valid bipartition and the canonical order was used).
 	Bipartition graph.Bipartition
-	// Candidates is the number of (bipartition, order) schedules evaluated.
+	// Candidates is the number of (bipartition, order) schedules the plan
+	// chose among.
 	Candidates int
 }
 
@@ -180,7 +181,9 @@ type Options struct {
 	// before the fan-out (never tightened mid-flight) the per-candidate DP
 	// cell counts are deterministic at every Parallelism. Hints that do not
 	// match the problem's DAG are ignored; with no valid hint planning is
-	// bit-identical to a cold plan.
+	// bit-identical to a cold plan. A plan that the front cache settles
+	// (see PlanContext) prunes nothing: its hints only add the candidates
+	// the enumeration lacks.
 	WarmHints []Hint
 }
 
@@ -253,9 +256,19 @@ func Plan(p *Problem, spec arch.Spec, opts Options) (Result, error) {
 // Observability: a logger attached to ctx (obs.WithLogger) gets a debug line
 // per plan; a registry attached to ctx (obs.WithMetrics) accumulates
 // dpipe.plans, dpipe.enumerated, dpipe.bipartitions, dpipe.candidates,
-// dpipe.dp_cells, and the dpipe.plan_ms histogram. A request span attached
-// to ctx (obs.ContextWithSpan) gains one "dpipe.plan" child annotated with
-// the candidate count.
+// dpipe.dp_cells, dpipe.front_hits, dpipe.front_misses (of which
+// dpipe.front_refills found a front that could not settle the plan), and
+// the dpipe.plan_ms histogram. Every plan that reaches candidate evaluation
+// is one front hit or miss, except under a chaos injector. A request span
+// attached to ctx (obs.ContextWithSpan) gains one "dpipe.plan" child
+// annotated with the candidate count.
+//
+// Front cache: a plan's DP sweeps depend on the DAG shape, the cycles
+// table, the state edges and the explicit window, not on the epoch count,
+// which enters only through the extrapolation. Each plan leaves, under that
+// key, the candidates that can win at some epoch count; a later plan under
+// the key, at any epoch count, reduces over them and sweeps only the winner.
+// Its Result is bit-identical to a plan that sweeps everything.
 func PlanContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) (Result, error) {
 	ctx, sp := obs.StartSpan(ctx, "dpipe.plan")
 	res, err := planContext(ctx, p, spec, opts)
@@ -330,7 +343,7 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 		return Result{}, err
 	}
 	if !cached {
-		storeEnumeration(key, e)
+		e = storeEnumeration(key, e)
 	}
 
 	// Warm start: validated hints occupy the head of the candidate list, so
@@ -348,14 +361,30 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 	}
 	nHints := len(hints.list)
 	list := e.cands
+	// With hints, at[i] is the list index of enumerated candidate i, and
+	// extras are the list indices of the hints the enumeration lacks.
+	var at, extras []int
 	if nHints > 0 {
 		list = hints.list
-		for _, cand := range e.cands {
-			if hints.seen[cand.key] {
+		hinted := make(map[string]int, nHints)
+		for i, h := range hints.list {
+			hinted[h.key] = i
+		}
+		at = make([]int, len(e.cands))
+		for i, cand := range e.cands {
+			if h, ok := hinted[cand.key]; ok {
 				dedup.Inc()
+				at[i] = h
+				delete(hinted, cand.key)
 				continue
 			}
+			at[i] = len(list)
 			list = append(list, cand)
+		}
+		for i := 0; i < nHints; i++ {
+			if _, ok := hinted[list[i].key]; ok {
+				extras = append(extras, i)
+			}
 		}
 	}
 
@@ -370,14 +399,89 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 	}
 
 	cells := reg.Counter("dpipe.dp_cells") // nil-safe on a nil registry
+
+	// Front cache (see PlanContext and front). A front that a warm plan left
+	// holds only lower bounds for the candidates it pruned, and may not
+	// settle a plan at another epoch count; that plan then sweeps every
+	// candidate unpruned and replaces the front. Chaos runs strike a fault
+	// site per candidate, so they always sweep.
+	var res Result
+	var fkey []byte
+	hit, bounding := false, nHints // hints that bound the sweeps
+	if chaos.From(ctx) == nil {
+		k, exact := c.window(opts.ExplicitEpochs)
+		fkey = c.frontKey(make([]byte, 0, 16*len(c.names)+16), k, exact)
+		if f := e.cachedFront(fkey); f != nil {
+			if res, hit, err = c.planFront(ctx, list, e.cands, extras, f, opts.ExplicitEpochs, cells); err != nil {
+				return Result{}, err
+			}
+			if !hit {
+				bounding = 0
+				reg.Counter("dpipe.front_refills").Inc()
+			}
+		}
+		if hit {
+			reg.Counter("dpipe.front_hits").Inc()
+		} else {
+			reg.Counter("dpipe.front_misses").Inc()
+		}
+	}
+	if !hit {
+		results, assigns, err := c.evaluateAll(ctx, p.Name, list, bounding, opts, cells, reg)
+		if err != nil {
+			return Result{}, err
+		}
+		best := argmin{i: -1}
+		for i, cand := range list {
+			best.offer(i, results[i].total, cand.key)
+		}
+		res = Result{TotalCycles: math.Inf(1)}
+		if best.i >= 0 {
+			n := len(c.names)
+			res = c.result(list[best.i], results[best.i], assigns[best.i*n:(best.i+1)*n])
+		}
+		if fkey != nil {
+			byCand := results
+			if at != nil {
+				byCand = make([]outcome, len(e.cands))
+				for i, li := range at {
+					byCand[i] = results[li]
+				}
+			}
+			e.storeFront(fkey, newFront(e.cands, byCand))
+		}
+	}
+	res.Candidates = len(list)
+	if reg != nil {
+		reg.Counter("dpipe.candidates").Add(int64(len(list)))
+		reg.Histogram("dpipe.plan_ms", nil).Observe(float64(time.Since(planStart).Microseconds()) / 1e3)
+	}
+	// Enabled-guarded so the disabled path never builds the attr slice:
+	// PlanContext runs once per objective evaluation and sub-layer.
+	if lg := obs.LoggerFrom(ctx); lg.Enabled(ctx, slog.LevelDebug) {
+		lg.Debug("dpipe: plan complete",
+			"problem", p.Name,
+			"candidates", len(list),
+			"bipartitions", e.explored,
+			"enumerated", e.examined,
+			"cycles", res.TotalCycles)
+	}
+	return res, nil
+}
+
+// evaluateAll runs the DP sweeps of every candidate in list and returns
+// their outcomes with their assignment records (candidate i's is
+// assigns[i*n:(i+1)*n] for n ops; see sweep). The first nHints candidates
+// are warm hints: they run first, serially and unbounded, and their best
+// total bounds the sweeps of the rest.
+func (c *compiled) evaluateAll(ctx context.Context, name string, list []candidate, nHints int, opts Options, cells *obs.Counter, reg *obs.Registry) ([]outcome, []int8, error) {
 	// Fault-injection site, struck once per candidate schedule evaluation on
 	// both the serial and the pooled path; nil (a single branch) when no
 	// injector is attached to ctx.
 	chaosSite := chaos.SiteFrom(ctx, chaos.SiteDPipeCandidate)
 	n := len(c.names)
 	results := make([]outcome, len(list))
-	// assigns[i*n:(i+1)*n] is candidate i's assignment record (see sweep);
-	// only the winner's becomes a map.
+	// Only the winner's assignment record becomes a map.
 	assigns := make([]int8, len(list)*n)
 	eval := func(s *scratch, i int, bound float64) {
 		cand := list[i]
@@ -398,10 +502,10 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 	bound := math.Inf(1)
 	for i := 0; i < nHints; i++ {
 		if ctx.Err() != nil {
-			return Result{}, faults.Canceled(ctx)
+			return nil, nil, faults.Canceled(ctx)
 		}
 		if err := chaosSite.Strike(ctx); err != nil {
-			return Result{}, fmt.Errorf("dpipe: problem %s: %w", p.Name, err)
+			return nil, nil, fmt.Errorf("dpipe: problem %s: %w", name, err)
 		}
 		eval(&serial, i, math.Inf(1))
 		if t := results[i].total; t < bound {
@@ -416,112 +520,147 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 	if workers > len(list)-nHints {
 		workers = len(list) - nHints
 	}
-	if workers > 1 {
-		// Fan the candidate evaluations (pure DP sweeps) across a bounded
-		// pool. Each result lands in its candidate's slot, so the reduction
-		// below sees exactly what the serial loop would.
-		reg.Gauge("dpipe.parallel_workers").Set(float64(workers))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		var panicMu sync.Mutex
-		var panicVal any
-		var injected error
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicMu.Lock()
-						if panicVal == nil {
-							panicVal = r
-						}
-						panicMu.Unlock()
-					}
-				}()
-				var s scratch
-				for {
-					i := int(next.Add(1)) - 1 + nHints
-					// Cancellation is checked per candidate schedule, as on
-					// the serial path.
-					if i >= len(list) || ctx.Err() != nil {
-						return
-					}
-					if err := chaosSite.Strike(ctx); err != nil {
-						panicMu.Lock()
-						if injected == nil {
-							injected = err
-						}
-						panicMu.Unlock()
-						return
-					}
-					eval(&s, i, bound)
-				}
-			}()
-		}
-		wg.Wait()
-		if panicVal != nil {
-			panic(panicVal)
-		}
-		if ctx.Err() != nil {
-			return Result{}, faults.Canceled(ctx)
-		}
-		if injected != nil {
-			return Result{}, fmt.Errorf("dpipe: problem %s: %w", p.Name, injected)
-		}
-	} else {
+	if workers <= 1 {
 		for i := nHints; i < len(list); i++ {
 			// Cancellation is checked per candidate schedule: a canceled plan
 			// returns promptly instead of finishing the DP sweep.
 			if ctx.Err() != nil {
-				return Result{}, faults.Canceled(ctx)
+				return nil, nil, faults.Canceled(ctx)
 			}
 			if err := chaosSite.Strike(ctx); err != nil {
-				return Result{}, fmt.Errorf("dpipe: problem %s: %w", p.Name, err)
+				return nil, nil, fmt.Errorf("dpipe: problem %s: %w", name, err)
 			}
 			eval(&serial, i, bound)
 		}
+		return results, assigns, nil
 	}
 
-	// Deterministic reduction: min makespan, ties broken by the canonical
-	// candidate key — the winner is identical at any worker count and any
-	// GOMAXPROCS. Unschedulable candidates (infinite makespan) never win,
-	// matching the serial strict-less-than of old.
-	best := -1
-	for i, cand := range list {
-		total := results[i].total
-		// Pruned sweeps report +Inf; a dependency-violating hint evaluated
-		// cold can extrapolate Inf-Inf into NaN. Neither is a schedule, and a
-		// NaN reaching the incumbent first would poison every later <
-		// comparison.
-		if math.IsInf(total, 1) || math.IsNaN(total) {
-			continue
+	// Fan the candidate evaluations (pure DP sweeps) across a bounded pool.
+	// Each result lands in its candidate's slot, so the reduction sees
+	// exactly what the serial loop would.
+	reg.Gauge("dpipe.parallel_workers").Set(float64(workers))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	var panicMu sync.Mutex
+	var panicVal any
+	var injected error
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicMu.Lock()
+					if panicVal == nil {
+						panicVal = r
+					}
+					panicMu.Unlock()
+				}
+			}()
+			var s scratch
+			for {
+				i := int(next.Add(1)) - 1 + nHints
+				// Cancellation is checked per candidate schedule, as on the
+				// serial path.
+				if i >= len(list) || ctx.Err() != nil {
+					return
+				}
+				if err := chaosSite.Strike(ctx); err != nil {
+					panicMu.Lock()
+					if injected == nil {
+						injected = err
+					}
+					panicMu.Unlock()
+					return
+				}
+				eval(&s, i, bound)
+			}
+		}()
+	}
+	wg.Wait()
+	if panicVal != nil {
+		panic(panicVal)
+	}
+	if ctx.Err() != nil {
+		return nil, nil, faults.Canceled(ctx)
+	}
+	if injected != nil {
+		return nil, nil, fmt.Errorf("dpipe: problem %s: %w", name, injected)
+	}
+	return results, assigns, nil
+}
+
+// planFront plans from a cached front (see front) over the enumerated
+// candidates cands; extras are the list indices of this plan's hints that
+// cands lacks, swept here. It reduces over the entries' totals at this
+// problem's epoch count and the extras', then sweeps the winner for its busy
+// cycles and assignment, so only those sweeps count as DP cells. ok is
+// false, with nothing swept but the extras, when a bound of a pruned
+// candidate does not clear the best total.
+func (c *compiled) planFront(ctx context.Context, list, cands []candidate, extras []int, f *front, explicitEpochs int, cells *obs.Counter) (res Result, ok bool, err error) {
+	if ctx.Err() != nil {
+		return Result{}, false, faults.Canceled(ctx)
+	}
+	k, exact := c.window(explicitEpochs)
+	rest := c.rest(k)
+	total := func(mkAll, slope float64) float64 {
+		if exact {
+			return mkAll
 		}
-		if best < 0 || total < results[best].total ||
-			(total == results[best].total && cand.key < list[best].key) {
-			best = i
+		return extrapolated(mkAll, slope, rest)
+	}
+	n := len(c.names)
+	best := argmin{i: -1}
+	var s scratch
+	outs := make([]outcome, len(extras))
+	assigns := make([]int8, len(extras)*n)
+	for h, li := range extras {
+		cand := list[li]
+		outs[h] = c.evaluate(&s, cand.order, cand.first, explicitEpochs, cells, math.Inf(1), assigns[h*n:(h+1)*n])
+		best.offer(len(cands)+h, outs[h].total, cand.key)
+	}
+	for _, e := range f.entries {
+		best.offer(e.cand, total(e.mkAll, e.slope), cands[e.cand].key)
+	}
+	for _, b := range f.bounds {
+		if best.i < 0 || !(total(b.mkAll, b.slope) > best.total) {
+			return Result{}, false, nil
 		}
 	}
-	res := Result{TotalCycles: math.Inf(1)}
-	if best >= 0 {
-		res = c.result(list[best], results[best], assigns[best*n:(best+1)*n])
+	switch {
+	case best.i < 0:
+		return Result{TotalCycles: math.Inf(1)}, true, nil
+	case best.i >= len(cands):
+		h := best.i - len(cands)
+		return c.result(list[extras[h]], outs[h], assigns[h*n:(h+1)*n]), true, nil
 	}
-	res.Candidates = len(list)
-	if reg != nil {
-		reg.Counter("dpipe.candidates").Add(int64(len(list)))
-		reg.Histogram("dpipe.plan_ms", nil).Observe(float64(time.Since(planStart).Microseconds()) / 1e3)
+	cand := cands[best.i]
+	assign := make([]int8, n)
+	out := c.evaluate(&s, cand.order, cand.first, explicitEpochs, cells, math.Inf(1), assign)
+	return c.result(cand, out, assign), true, nil
+}
+
+// argmin is the deterministic reduction over candidate totals: min total,
+// ties broken by the canonical candidate key, so the winner is identical at
+// any worker count and any GOMAXPROCS. i is -1 until a candidate is offered
+// that can win.
+type argmin struct {
+	i     int
+	total float64
+	key   string
+}
+
+// offer considers candidate i. Unschedulable candidates never win: pruned
+// sweeps report +Inf, and a dependency-violating hint evaluated cold can
+// extrapolate Inf-Inf into NaN. A NaN reaching the incumbent first would
+// poison every later < comparison.
+func (m *argmin) offer(i int, total float64, key string) {
+	if math.IsInf(total, 1) || math.IsNaN(total) {
+		return
 	}
-	// Enabled-guarded so the disabled path never builds the attr slice:
-	// PlanContext runs once per objective evaluation and sub-layer.
-	if lg := obs.LoggerFrom(ctx); lg.Enabled(ctx, slog.LevelDebug) {
-		lg.Debug("dpipe: plan complete",
-			"problem", p.Name,
-			"candidates", len(list),
-			"bipartitions", e.explored,
-			"enumerated", e.examined,
-			"cycles", res.TotalCycles)
+	if m.i < 0 || total < m.total || (total == m.total && key < m.key) {
+		*m = argmin{i: i, total: total, key: key}
 	}
-	return res, nil
 }
 
 // result materialises a candidate's outcome as a Result with fresh Order,

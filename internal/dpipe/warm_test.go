@@ -9,10 +9,12 @@ import (
 	"github.com/fusedmindlab/transfusion/internal/obs"
 )
 
-// planCells runs PlanContext under a fresh registry and returns the result
-// plus the dpipe.dp_cells it spent.
+// planCells runs PlanContext under a fresh registry on an empty front
+// cache, so the plan sweeps its candidates however often p was planned
+// before, and returns the result plus the dpipe.dp_cells it spent.
 func planCells(t *testing.T, p *Problem, opts Options) (Result, int64) {
 	t.Helper()
+	ResetFronts()
 	reg := obs.NewRegistry()
 	ctx := obs.WithMetrics(context.Background(), reg)
 	res, err := PlanContext(ctx, p, arch.Cloud(), opts)

@@ -178,6 +178,9 @@ func newMemberHarness(t *testing.T, opts memberOpts) *memberHarness {
 			cfg.Store = st
 		}
 		r.s = New(cfg, r.reg, context.Background())
+		if opts.stores {
+			t.Cleanup(r.s.fills.Wait) // before the store's TempDir is removed
+		}
 		r.serveOn(listeners[i])
 		t.Cleanup(r.kill)
 		if opts.probers {

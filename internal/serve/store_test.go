@@ -36,6 +36,9 @@ func storeTestServer(t *testing.T, cfg Config, dir string, cold bool, chaosSpec 
 		baseCtx = chaos.With(baseCtx, inj)
 	}
 	s := New(cfg, reg, baseCtx)
+	// Cleanups run last-registered first: the server closes, then its
+	// asynchronous store fills drain, then the caller's dir is removed.
+	t.Cleanup(s.fills.Wait)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts, reg

@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"github.com/fusedmindlab/transfusion/internal/dpipe"
 )
 
 // warmSearchCost is the host-independent price of a search: speculative
@@ -50,6 +52,10 @@ func TestWarmSearchHalvesObjectiveEvaluations(t *testing.T) {
 		spec.SpecChainSteps = 1
 		spec.SpecLookahead = 1
 
+		// Each leg plans on an empty DPipe front cache, as a search in a
+		// fresh process does, so neither reuses the fronts that the
+		// neighbour's search, the other leg or an earlier test left.
+		dpipe.ResetFronts()
 		coldReg := NewMetrics()
 		cold, err := RunContext(WithMetrics(context.Background(), coldReg), spec)
 		if err != nil {
@@ -57,6 +63,7 @@ func TestWarmSearchHalvesObjectiveEvaluations(t *testing.T) {
 		}
 		warmSpec := spec
 		warmSpec.WarmHint = hres.Plan
+		dpipe.ResetFronts()
 		warmReg := NewMetrics()
 		warm, err := RunContext(WithMetrics(context.Background(), warmReg), warmSpec)
 		if err != nil {
