@@ -82,10 +82,11 @@ type RunSpec struct {
 	// exceeds 1, events may arrive from multiple goroutines (the engine
 	// serialises the calls for you).
 	Progress ProgressFunc
-	// Parallelism bounds the worker pools used across the evaluation: tile
-	// search speculation, sub-layer scheduling, and DPipe candidate
-	// evaluation. 0 selects GOMAXPROCS; 1 forces the serial path. Results
-	// are bit-identical at every setting.
+	// Parallelism bounds how many goroutines the evaluation runs at once. 0
+	// selects GOMAXPROCS; 1 forces the serial path. The tile search is
+	// serial; each evaluation of a tile inside it, and of the winner,
+	// schedules its sub-layers concurrently and gives any remaining budget
+	// to DPipe's candidate pool. Results are bit-identical at every setting.
 	Parallelism int
 	// WarmHint, when non-nil, warm-starts the searches from a previously
 	// winning plan — typically the stored result for the nearest sequence
@@ -99,12 +100,6 @@ type RunSpec struct {
 	// full-fidelity answer and is deliberately excluded from CanonicalKey.
 	// An invalid or foreign hint is ignored; nil is exactly the cold search.
 	WarmHint *PlanSummary
-	// SpecChainSteps / SpecLookahead tune the speculative workers used by
-	// the tile search when Parallelism exceeds 1 (0 = the defaults of 8 and
-	// 256). Speculation only warms the objective memo, so these never change
-	// the result and are excluded from CanonicalKey.
-	SpecChainSteps int
-	SpecLookahead  int
 }
 
 // LayerPlan is one sub-layer's winning DPipe schedule in plain serialisable
@@ -258,8 +253,7 @@ func (s RunSpec) validate() error {
 // so a spec that spells the default explicitly keys identically to one that
 // leaves it zero. Progress and Parallelism are deliberately excluded: hooks
 // do not change the result, and results are bit-identical at every
-// parallelism setting. WarmHint and the speculation knobs are excluded too:
-// speculation never changes the result, and a warm-started result is a
+// parallelism setting. WarmHint is excluded too: a warm-started result is a
 // full-fidelity answer for the spec — deterministic given the hint and never
 // worse than the hint's objective — so it may be cached and persisted under
 // the spec's key.
@@ -285,7 +279,7 @@ func (s RunSpec) CanonicalKey() string {
 // ParseCanonicalKey inverts CanonicalKey: it reconstructs the RunSpec a key
 // renders from, with defaulted fields coming back normalised (Batch and
 // SearchBudget explicit) and the keyless fields (Progress, Parallelism,
-// WarmHint, the speculation knobs) zero. The boolean reports whether the key
+// WarmHint) zero. The boolean reports whether the key
 // parses; every true return round-trips, spec.CanonicalKey() == key. The
 // plan store uses it to group stored plans into warm-start families — the
 // same evaluation at different sequence lengths.
@@ -470,8 +464,6 @@ func (s RunSpec) resolve() (arch.Spec, model.Config, pipeline.System, pipeline.O
 	opts.Parallelism = s.Parallelism
 	opts.SkipSearch = s.HeuristicOnly
 	opts.WarmHint = s.WarmHint.toPipeline()
-	opts.SpecChainSteps = s.SpecChainSteps
-	opts.SpecLookahead = s.SpecLookahead
 	return spec, m, sys, opts, batch, nil
 }
 

@@ -131,14 +131,7 @@ func benchDPipePlan(b *testing.B, layer string) {
 // cache, so its counts repeat exactly: dp_cells/op, front_hits/op (DPipe
 // plans answered from a front another spec or rollout left) and allocs/op.
 func BenchmarkRunContext(b *testing.B) {
-	var specs []transfusion.RunSpec
-	for _, a := range []string{"cloud", "edge"} {
-		for _, m := range []string{"bert", "llama3"} {
-			for _, seq := range []int{1 << 10, 1 << 13, 1 << 15} {
-				specs = append(specs, transfusion.RunSpec{Arch: a, Model: m, SeqLen: seq, System: "transfusion", SearchBudget: 8, Parallelism: 1})
-			}
-		}
-	}
+	specs := runContextSpecs(1)
 	reg := obs.NewRegistry()
 	ctx := obs.WithMetrics(context.Background(), reg)
 	b.ReportAllocs()
@@ -169,6 +162,20 @@ func benchEvaluate(b *testing.B, archName string) {
 	}
 	reportPerOp(b, reg, "tileseek.evaluated", "evals/op")
 	reportPerOp(b, reg, "dpipe.dp_cells", "dp_cells/op")
+}
+
+// runContextSpecs is BenchmarkRunContext's spec list at the given
+// Parallelism.
+func runContextSpecs(parallelism int) []transfusion.RunSpec {
+	var specs []transfusion.RunSpec
+	for _, a := range []string{"cloud", "edge"} {
+		for _, m := range []string{"bert", "llama3"} {
+			for _, seq := range []int{1 << 10, 1 << 13, 1 << 15} {
+				specs = append(specs, transfusion.RunSpec{Arch: a, Model: m, SeqLen: seq, System: "transfusion", SearchBudget: 8, Parallelism: parallelism})
+			}
+		}
+	}
+	return specs
 }
 
 // reportPerOp reports a registry counter divided by b.N under unit.
@@ -203,13 +210,13 @@ func experimentsEval(ctx context.Context, archName string) (pipeline.Result, err
 	return pipeline.EvaluateContext(ctx, w, spec, pipeline.TransFusion(), benchOpts())
 }
 
-// Parallel search engine: the speculative tile search and the DPipe
-// candidate pool at increasing worker counts. The searched result is
-// bit-identical at every setting; only the wall-clock changes (see
-// BENCH_parallel.json for recorded serial-vs-parallel numbers).
+// Parallel evaluation: the tile search is serial, and each objective
+// evaluation spends the Parallelism budget on its sub-layers and DPipe
+// candidate pools. The searched result and the counts are identical at
+// every setting; only the wall-clock changes.
 
 func BenchmarkSearchParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
+	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprint(workers), func(b *testing.B) {
 			benchSearchParallel(b, arch.Cloud(), workers)
 		})
@@ -217,25 +224,27 @@ func BenchmarkSearchParallel(b *testing.B) {
 }
 
 func BenchmarkSearchParallelEdge(b *testing.B) {
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprint(workers), func(b *testing.B) {
 			benchSearchParallel(b, arch.Edge(), workers)
 		})
 	}
 }
 
-// benchSearchParallel drives SearchWithOptions with the same expensive
-// objective the pipeline uses — a full per-tile evaluation — on the default
-// Llama3-64K workload.
+// benchSearchParallel drives SearchWithOptions with the objective the
+// pipeline uses — a full per-tile evaluation at the given Parallelism — on
+// the default Llama3-64K workload, and reports evals/op (objective
+// evaluations run) and dp_cells/op.
 func benchSearchParallel(b *testing.B, spec arch.Spec, workers int) {
 	b.Helper()
 	w := pipeline.Workload{Model: model.Llama3(), SeqLen: model.SeqLength64K, Batch: model.EvalBatch}
 	space := tileseek.DefaultSpace(w, spec)
-	serial := benchOpts()
-	serial.Parallelism = 1
-	serial.DPipe.Parallelism = 1
+	opts := benchOpts()
+	opts.Parallelism = workers
+	reg := obs.NewRegistry()
+	ctx := obs.WithMetrics(context.Background(), reg)
 	objective := func(c tiling.Config) (float64, bool) {
-		r, err := pipeline.EvaluateWithTile(w, spec, pipeline.TransFusion(), c, serial)
+		r, err := pipeline.EvaluateWithTileContext(ctx, w, spec, pipeline.TransFusion(), c, opts)
 		if err != nil {
 			return 0, false
 		}
@@ -244,9 +253,7 @@ func benchSearchParallel(b *testing.B, spec arch.Spec, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dpipe.ResetFronts()
-		res, err := tileseek.SearchWithOptions(context.Background(), space, objective, tileseek.Options{
-			Iterations: 64, Seed: 1, Parallelism: workers,
-		})
+		res, err := tileseek.SearchWithOptions(ctx, space, objective, tileseek.Options{Iterations: 64, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,6 +261,8 @@ func benchSearchParallel(b *testing.B, spec arch.Spec, workers int) {
 			b.Fatal("search found no feasible tile")
 		}
 	}
+	reportPerOp(b, reg, "tileseek.cache_misses", "evals/op")
+	reportPerOp(b, reg, "dpipe.dp_cells", "dp_cells/op")
 }
 
 func BenchmarkPlanParallel(b *testing.B) {
@@ -276,8 +285,9 @@ func BenchmarkPlanParallel(b *testing.B) {
 
 // Warm-started search: cold vs warm evaluations of the same workload, with
 // the hint taken from the neighbouring (half) seq_len's winning plan. The
-// headline metric is evals/op — tileseek.spec_evals + dpipe.dp_cells, the
-// host-independent objective-evaluation count — reported next to ns/op.
+// headline metric is evals/op — tileseek.cache_misses + dpipe.dp_cells, the
+// objective evaluations the search ran plus the DP cells they filled, both
+// host-independent — reported next to ns/op.
 
 func BenchmarkSearchWarm(b *testing.B) {
 	spec := cloudSpec()
@@ -307,7 +317,7 @@ func BenchmarkSearchWarm(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			evals := reg.Counter("tileseek.spec_evals").Value() + reg.Counter("dpipe.dp_cells").Value()
+			evals := reg.Counter("tileseek.cache_misses").Value() + reg.Counter("dpipe.dp_cells").Value()
 			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 		})
 	}

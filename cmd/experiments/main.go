@@ -37,9 +37,7 @@ func main() {
 func run(ctx context.Context) error {
 	exp := flag.String("exp", "", "experiment ID to run (empty = all)")
 	budget := flag.Int("budget", 0, "TileSeek rollout budget (0 = default)")
-	parallelism := flag.Int("parallelism", 0, "worker-pool size for grid cells, tile search, and DPipe (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
-	specChain := flag.Int("spec-chain", 0, "speculation replay steps on the master PRNG stream in the parallel tile search (0 = default; never changes results)")
-	specLookahead := flag.Int("spec-lookahead", 0, "total speculation replay steps per snapshot in the parallel tile search (0 = default; never changes results)")
+	parallelism := flag.Int("parallelism", 0, "worker-pool size for grid cells, sub-layer scheduling, and DPipe (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	format := flag.String("format", "table", "output format: table or csv")
 	logLevel := flag.String("log-level", "warn", "structured log level on stderr: debug, info, warn, error")
@@ -111,7 +109,6 @@ func run(ctx context.Context) error {
 		start := time.Now()
 		rep, err := transfusion.RunExperimentReportOptions(ctx, id, transfusion.ExperimentRunOptions{
 			SearchBudget: *budget, Parallelism: *parallelism,
-			SpecChainSteps: *specChain, SpecLookahead: *specLookahead,
 			CSV: *format == "csv",
 		})
 		if err != nil {

@@ -44,9 +44,7 @@ func run(ctx context.Context) error {
 	system := flag.String("system", "transfusion", "system: "+strings.Join(transfusion.SystemNames(), ", "))
 	batch := flag.Int("batch", 0, "batch size (0 = the paper's default of 64)")
 	budget := flag.Int("budget", 0, "TileSeek rollout budget (0 = default)")
-	parallelism := flag.Int("parallelism", 0, "worker-pool size for tile search, sub-layer scheduling, and DPipe (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
-	specChain := flag.Int("spec-chain", 0, "speculation replay steps on the master PRNG stream in the parallel tile search (0 = default; never changes results)")
-	specLookahead := flag.Int("spec-lookahead", 0, "total speculation replay steps per snapshot in the parallel tile search (0 = default; never changes results)")
+	parallelism := flag.Int("parallelism", 0, "goroutines per evaluation, split between sub-layer scheduling and DPipe candidates (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 	compare := flag.Bool("compare", false, "evaluate all five systems and print speedups over Unfused")
 	trace := flag.String("trace", "", "render the DPipe schedule Gantt for a sub-layer (qproj, kvproj, mha, ln, ffn)")
 	causal := flag.Bool("causal", false, "decoder-style causal masking")
@@ -114,7 +112,6 @@ func run(ctx context.Context) error {
 		Arch: *archName, Model: *modelName, SeqLen: *seq, System: *system,
 		Batch: *batch, SearchBudget: *budget, Causal: *causal, ArchFile: *archFile,
 		SearchTimeout: *searchTimeout, Parallelism: *parallelism,
-		SpecChainSteps: *specChain, SpecLookahead: *specLookahead,
 	}
 	if *progress {
 		base.Progress = progressPrinter(os.Stderr)

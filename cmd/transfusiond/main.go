@@ -83,8 +83,6 @@ func run() error {
 	storeMaxBytes := flag.Int64("store-max-bytes", 256<<20, "byte budget for the plan store directory, LRU-evicted (<= 0 unlimited)")
 	storeWarm := flag.Bool("store-warm", true, "seed the in-memory plan cache from the store at startup (warm restart)")
 	warmGrid := flag.Bool("warm-grid", false, "precompute plans for gaps in the store's seq-length grid at startup, warm-seeded from their nearest stored neighbours (requires -store-dir; runs off the serving path)")
-	specChain := flag.Int("spec-chain", 0, "speculation replay steps on the master PRNG stream in the parallel tile search (0 = default; never changes results)")
-	specLookahead := flag.Int("spec-lookahead", 0, "total speculation replay steps per snapshot in the parallel tile search (0 = default; never changes results)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every replica, self included (e.g. 'http://a:8080,http://b:8080'; empty disables clustering)")
 	peersFile := flag.String("peers-file", "", "file listing replica base URLs, one per line (# comments allowed; alternative to -peers, re-read on SIGHUP for live membership changes)")
 	self := flag.String("self", "", "this replica's own base URL, exactly as listed in -peers (required with -peers)")
@@ -276,8 +274,6 @@ func run() error {
 		MaxSeqLen:       *maxSeq,
 		MaxSearchBudget: *maxBudget,
 		Parallelism:     *parallelism,
-		SpecChainSteps:  *specChain,
-		SpecLookahead:   *specLookahead,
 		DrainTimeout:    *drainTimeout,
 		ReducedBudget:   *reducedBudget,
 		WatchdogTimeout: *watchdogTimeout,

@@ -403,21 +403,25 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 	// Front cache (see PlanContext and front). A front that a warm plan left
 	// holds only lower bounds for the candidates it pruned, and may not
 	// settle a plan at another epoch count; that plan then sweeps every
-	// candidate unpruned and replaces the front. Chaos runs strike a fault
+	// candidate unpruned and replaces the front. A shape with a single
+	// candidate keeps no front: a hit would sweep that candidate just as a
+	// miss does, so its plans count as misses. Chaos runs strike a fault
 	// site per candidate, so they always sweep.
 	var res Result
 	var fkey []byte
 	hit, bounding := false, nHints // hints that bound the sweeps
 	if chaos.From(ctx) == nil {
-		k, exact := c.window(opts.ExplicitEpochs)
-		fkey = c.frontKey(make([]byte, 0, 16*len(c.names)+16), k, exact)
-		if f := e.cachedFront(fkey); f != nil {
-			if res, hit, err = c.planFront(ctx, list, e.cands, extras, f, opts.ExplicitEpochs, cells); err != nil {
-				return Result{}, err
-			}
-			if !hit {
-				bounding = 0
-				reg.Counter("dpipe.front_refills").Inc()
+		if len(e.cands) > 1 {
+			k, exact := c.window(opts.ExplicitEpochs)
+			fkey = c.frontKey(make([]byte, 0, 16*len(c.names)+16), k, exact)
+			if f := e.cachedFront(fkey); f != nil {
+				if res, hit, err = c.planFront(ctx, list, e.cands, extras, f, opts.ExplicitEpochs, cells); err != nil {
+					return Result{}, err
+				}
+				if !hit {
+					bounding = 0
+					reg.Counter("dpipe.front_refills").Inc()
+				}
 			}
 		}
 		if hit {

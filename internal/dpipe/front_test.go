@@ -427,6 +427,38 @@ func TestFrontCountersAddUp(t *testing.T) {
 	}
 }
 
+// A shape with a single candidate keeps no front: each of its plans, warm
+// or cold, at any epoch count, is one front miss that sweeps that candidate
+// once, and the result equals an uncached plan.
+func TestFrontSkipsSingleCandidateShapes(t *testing.T) {
+	gemm := gemmFixed("fsingle.G", 64)
+	deps := graph.New()
+	deps.AddNode("fsingle.G")
+	base := &Problem{Name: "fsingle", Ops: map[string]perf.OpSpec{"fsingle.G": gemm}, Deps: deps, Epochs: 4}
+	spec := arch.Cloud()
+	want, _ := planUncached(t, base, spec, DefaultOptions())
+	if want.Candidates != 1 {
+		t.Fatalf("single-op problem has %d candidates, want 1", want.Candidates)
+	}
+	e := cachedEnumeration(cacheKeyOf(t, base))
+	for _, epochs := range []int64{4, 30, 90, 4} {
+		p := withEpochs(base, epochs)
+		for _, opts := range []Options{DefaultOptions(), {MaxBipartitions: 64, MaxOrdersPerPartition: 12, ExplicitEpochs: 12, WarmHints: hintOf(want)}} {
+			got, n := planFrontCounted(t, context.Background(), p, spec, opts)
+			ref, uncached := planUncached(t, p, spec, DefaultOptions())
+			sameResult(t, fmt.Sprintf("epochs %d, %d hints", epochs, len(opts.WarmHints)), p, spec, opts.ExplicitEpochs, got, ref)
+			if n.hits != 0 || n.misses != 1 || n.cells != uncached.cells {
+				t.Fatalf("epochs %d, %d hints: %+v, want one miss sweeping what an uncached plan sweeps (%+v)", epochs, len(opts.WarmHints), n, uncached)
+			}
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.fronts) != 0 {
+		t.Fatalf("a single-candidate shape stored %d fronts", len(e.fronts))
+	}
+}
+
 // newFront keeps exactly the candidates that can win at some epoch count.
 // The key check matters: totals that differ in exact arithmetic can round
 // to a tie, which the smaller key then wins.

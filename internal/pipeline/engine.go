@@ -90,21 +90,14 @@ type Options struct {
 	// replaces most of the exploration a cold search pays for. With WarmHint
 	// nil the evaluation is bit-identical to today's cold path.
 	WarmHint *WarmHint
-	// SpecChainSteps, SpecLookahead and SpecMaxFresh override the parallel
-	// tile search's speculation tuning (see tileseek.Options); zero keeps
-	// each default. Speculation only warms the objective memo cache, so no
-	// setting changes the search result.
-	SpecChainSteps int
-	SpecLookahead  int
-	SpecMaxFresh   int
-	// Parallelism sets the evaluation's concurrency budget: 0 selects
-	// GOMAXPROCS, 1 the fully serial path, n > 1 parallel execution. It
-	// drives the tile search's speculative workers, concurrent sub-layer
-	// scheduling, and (unless DPipe.Parallelism is set explicitly) the DPipe
-	// candidate pool. Results are bit-identical at every setting for a fixed
-	// seed. Inside the tile search each objective evaluation runs serially —
-	// the search itself supplies the concurrency — so cores are never
-	// oversubscribed quadratically.
+	// Parallelism bounds how many goroutines one evaluation runs at once: 0
+	// selects GOMAXPROCS, 1 the fully serial path. The tile search itself is
+	// serial; every evaluation of a tile — each rollout's and the winner's —
+	// schedules its sub-layers on min(Parallelism, sub-layers) workers, and
+	// unless DPipe.Parallelism is set explicitly each sub-layer's DPipe
+	// candidate pool gets max(1, Parallelism / sub-layer workers), so the
+	// two pools never multiply past the budget. Results are bit-identical at
+	// every setting for a fixed seed.
 	Parallelism int
 	// Progress, when non-nil, receives typed obs events during evaluation:
 	// PhaseStart/PhaseEnd around the tile search, per-rollout RolloutDone,
@@ -150,12 +143,21 @@ func (o Options) withDefaults() Options {
 		o.DPipe = d.DPipe
 		o.DPipe.Parallelism = par
 	}
-	if o.DPipe.Parallelism == 0 {
-		// The pipeline-level budget flows down unless DPipe was pinned
-		// explicitly (1 at the pipeline level must mean fully serial).
-		o.DPipe.Parallelism = o.Parallelism
-	}
 	return o
+}
+
+// workers splits the Parallelism budget of one evaluation over n sub-layer
+// problems: sub-layer workers, and the candidate pool each DPipe plan gets
+// (DPipe.Parallelism when set explicitly). Their product never exceeds the
+// budget unless DPipe was pinned above it.
+func (o Options) workers(n int) (sub, dp int) {
+	p := resolveParallelism(o.Parallelism)
+	sub = max(1, min(p, n))
+	dp = o.DPipe.Parallelism
+	if dp == 0 {
+		dp = max(1, p/sub)
+	}
+	return sub, dp
 }
 
 // resolveParallelism maps an Options.Parallelism value to a worker count.
@@ -257,12 +259,9 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 	// The search reward follows opts.TileSeekObjective; the default EDP
 	// breaks latency ties on compute-bound workloads in favour of less
 	// traffic, matching the paper's energy/latency reward options.
-	// Each objective evaluation runs serially: with Parallelism above 1 the
-	// tile search evaluates many configurations concurrently, and nesting
-	// another pool inside each would oversubscribe the machine.
-	innerOpts := opts
-	innerOpts.Parallelism = 1
-	innerOpts.DPipe.Parallelism = 1
+	// The search is serial, so each objective evaluation gets the whole
+	// Parallelism budget (see Options.Parallelism).
+	//
 	// The objective runs once per rollout — hundreds of times per request —
 	// so it evaluates under a detached trace context: a span per rollout
 	// would blow straight through the per-trace cap and drown the request
@@ -275,7 +274,7 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 		objCtx = obs.ContextWithSpan(ctx, nil)
 	}
 	objective := func(c tiling.Config) (float64, bool) {
-		r, err := evaluateWithTile(objCtx, w, spec, sys, c, innerOpts)
+		r, err := evaluateWithTile(objCtx, w, spec, sys, c, opts)
 		if err != nil {
 			return 0, false
 		}
@@ -314,13 +313,9 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 	opts.Progress.Emit(obs.PhaseStart{Phase: "tileseek"})
 	searchStart := time.Now()
 	tsOpts := tileseek.Options{
-		Iterations:     opts.TileSeekIterations,
-		Seed:           opts.TileSeekSeed,
-		Parallelism:    opts.Parallelism,
-		Progress:       opts.Progress,
-		SpecChainSteps: opts.SpecChainSteps,
-		SpecLookahead:  opts.SpecLookahead,
-		SpecMaxFresh:   opts.SpecMaxFresh,
+		Iterations: opts.TileSeekIterations,
+		Seed:       opts.TileSeekSeed,
+		Progress:   opts.Progress,
 	}
 	if opts.WarmHint != nil {
 		// Copy so the search cannot alias the caller's hint.
@@ -460,10 +455,11 @@ func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys Syste
 	}
 
 	// Schedule every sub-layer problem — concurrently when the parallelism
-	// budget allows (the five problems are independent). Results are keyed by
-	// name, and scheduling errors are reported for the lexicographically
-	// smallest failing sub-layer, so outputs and errors are deterministic at
-	// any worker count.
+	// budget allows (the five problems are independent), with the rest of
+	// the budget going to each DPipe candidate pool (see Options.workers).
+	// Results are keyed by name, and scheduling errors are reported for the
+	// lexicographically smallest failing sub-layer, so outputs and errors are
+	// deterministic at any worker count.
 	type schedOut struct {
 		res dpipe.Result
 		lp  layerProblem
@@ -478,6 +474,8 @@ func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys Syste
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	workers, dpWorkers := opts.workers(len(names))
+	opts.DPipe.Parallelism = dpWorkers
 	schedOne := func(name string) (res dpipe.Result, err error) {
 		lp := probs[name]
 		// One span per sub-layer schedule. With workers > 1 these run on
@@ -509,10 +507,6 @@ func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys Syste
 		}
 	}
 	scheds := make(map[string]schedOut, len(probs))
-	workers := resolveParallelism(opts.Parallelism)
-	if workers > len(names) {
-		workers = len(names)
-	}
 	if workers > 1 {
 		opts.DPipe.Progress = serializeProgress(opts.DPipe.Progress)
 		results := make([]dpipe.Result, len(names))
@@ -521,28 +515,33 @@ func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys Syste
 		var wg sync.WaitGroup
 		var panicMu sync.Mutex
 		var panicVal any
-		wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicMu.Lock()
-						if panicVal == nil {
-							panicVal = r
-						}
-						panicMu.Unlock()
+		work := func() {
+			defer func() {
+				if r := recover(); r != nil {
+					panicMu.Lock()
+					if panicVal == nil {
+						panicVal = r
 					}
-				}()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(names) {
-						return
-					}
-					results[i], errs[i] = schedOne(names[i])
+					panicMu.Unlock()
 				}
 			}()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(names) {
+					return
+				}
+				results[i], errs[i] = schedOne(names[i])
+			}
 		}
+		// The calling goroutine is one of the workers.
+		wg.Add(workers - 1)
+		for i := 1; i < workers; i++ {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		work()
 		wg.Wait()
 		if panicVal != nil {
 			panic(panicVal)

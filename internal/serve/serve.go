@@ -82,12 +82,6 @@ type Config struct {
 	// GOMAXPROCS). Results are bit-identical at every setting, so it is not
 	// part of the cache key.
 	Parallelism int
-	// SpecChainSteps and SpecLookahead tune the parallel tile search's
-	// speculation (see tileseek.Options); zero keeps each default. They are
-	// passed through to every evaluation's RunSpec and, like Parallelism,
-	// never change results, so they are not part of the cache key.
-	SpecChainSteps int
-	SpecLookahead  int
 	// DrainTimeout bounds graceful shutdown (default 30s).
 	DrainTimeout time.Duration
 	// ReducedBudget is the search budget the degradation ladder's middle
@@ -623,8 +617,6 @@ func (s *Server) evalPlan(reqCtx context.Context, spec transfusion.RunSpec, allo
 // resolvePlan is evalPlan's body; see there for the contract.
 func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, allowPeer bool) (transfusion.RunResult, bool, string, string, string, error) {
 	spec.Parallelism = s.cfg.Parallelism
-	spec.SpecChainSteps = s.cfg.SpecChainSteps
-	spec.SpecLookahead = s.cfg.SpecLookahead
 	fullKey := spec.CanonicalKey()
 	// Peek the full-fidelity cache before consulting the ladder: a complete
 	// cached answer beats a freshly computed degraded one at any load.
@@ -1008,8 +1000,6 @@ func (s *Server) WarmGrid(ctx context.Context, maxPlans int) int {
 // persist the completed result. Reports whether a plan was computed.
 func (s *Server) warmGridPlan(ctx context.Context, spec transfusion.RunSpec) bool {
 	spec.Parallelism = s.cfg.Parallelism
-	spec.SpecChainSteps = s.cfg.SpecChainSteps
-	spec.SpecLookahead = s.cfg.SpecLookahead
 	key := spec.CanonicalKey()
 	if _, ok := s.cache.Get(key); ok {
 		return false

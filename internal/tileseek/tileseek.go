@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"runtime"
 
 	"github.com/fusedmindlab/transfusion/internal/arch"
 	"github.com/fusedmindlab/transfusion/internal/chaos"
@@ -190,14 +189,10 @@ type Options struct {
 	Iterations int
 	// Seed seeds the deterministic PRNG (0 selects the fixed default).
 	Seed uint64
-	// Parallelism sets how many goroutines may evaluate objectives
-	// concurrently: 0 selects GOMAXPROCS, 1 the serial engine (exactly
-	// today's single-threaded loop), and n > 1 one master plus n-1
-	// speculative workers. The result is bit-identical at every setting for
-	// a fixed seed — parallel workers only warm a memo cache of the pure
-	// objective, they never alter the master trajectory — but the objective
-	// must be concurrency-safe (and pure, or the determinism guarantee is
-	// void) whenever the effective parallelism exceeds 1.
+	// Parallelism is ignored: the search runs one serial MCTS trajectory at
+	// every setting. A caller with cores to spare spends them inside its
+	// objective instead (the pipeline schedules an evaluation's sub-layers
+	// concurrently). The field remains so existing callers compile.
 	Parallelism int
 	// Progress, when non-nil, receives an obs.RolloutDone event after every
 	// rollout. Leave nil to pay nothing: the event is neither constructed
@@ -209,18 +204,9 @@ type Options struct {
 	// its evaluation becomes the incumbent best — a warm search can never
 	// return a worse objective than the hint's — and primes the objective
 	// memo. A hint whose values do not appear in the space, or which fails
-	// the buffer constraint, is ignored. With no hint the search is
-	// bit-identical to the unhinted one; with a hint the objective must be
-	// pure even at Parallelism 1, because the warm path memoises it
-	// (tileseek.cache_hits/cache_misses count the memo there too).
+	// the buffer constraint, is ignored, leaving the search bit-identical to
+	// the unhinted one.
 	Hint *tiling.Config
-	// SpecChainSteps / SpecLookahead / SpecMaxFresh override the speculative
-	// workers' tuning when Parallelism exceeds 1 (0 = the defaults of 8,
-	// 256, and 16). Speculation only warms the objective memo, so these
-	// never change the search result.
-	SpecChainSteps int
-	SpecLookahead  int
-	SpecMaxFresh   int
 }
 
 // Search runs MCTS for the given number of iterations and returns the best
@@ -237,26 +223,15 @@ func Search(space Space, objective Objective, iterations int, seed uint64) (Resu
 // error matching faults.ErrInfeasible — an expected outcome callers degrade
 // around, not a crash.
 //
-// SearchContext always runs the serial engine (Parallelism 1), so the
-// objective does not need to be concurrency-safe; use SearchWithOptions to
-// opt into parallel evaluation.
+// The search calls the objective from the caller's goroutine only, and at
+// most once per configuration: repeat configurations are answered from a
+// memo, so the objective must be pure.
 func SearchContext(ctx context.Context, space Space, objective Objective, iterations int, seed uint64) (Result, error) {
-	return SearchWithOptions(ctx, space, objective, Options{Iterations: iterations, Seed: seed, Parallelism: 1})
-}
-
-// resolveParallelism maps an Options.Parallelism value to a worker count.
-func resolveParallelism(p int) int {
-	if p <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return p
+	return SearchWithOptions(ctx, space, objective, Options{Iterations: iterations, Seed: seed})
 }
 
 // walker bundles the state the MCTS loop threads through one rollout:
-// the space, its candidate lists, the PRNG, and the tree root. step is the
-// single source of truth for selection + expansion + rollout, shared by the
-// serial master loop and the speculative workers so both replay the exact
-// same trajectory from equal state.
+// the space, its candidate lists, the PRNG, and the tree root.
 type walker struct {
 	space  Space
 	levels [][]int
@@ -432,17 +407,22 @@ func warmSeed(w *walker, hint tiling.Config, consume func(tiling.Config) (float6
 // SearchWithOptions is SearchContext with explicit Options, the full-fidelity
 // entry point.
 //
+// Objective memo: every configuration the search consumes — the hint's and
+// each feasible rollout's — goes through one map keyed by tiling.Config, so
+// the objective runs once per distinct configuration. Result.Evaluated
+// counts consumed configurations, memo hits included, which keeps it
+// independent of the memo.
+//
 // Observability: a registry attached to ctx (obs.WithMetrics) accumulates
-// tileseek.searches, tileseek.rollouts, tileseek.evaluated and
-// tileseek.pruned; with parallelism enabled it additionally accumulates
-// tileseek.cache_hits, tileseek.cache_misses and tileseek.spec_evals; a
-// logger attached to ctx (obs.WithLogger) gets debug lines at search start
-// and end; opts.Progress streams per-rollout events (always from the master
-// goroutine, exactly once per rollout, at every parallelism level). With
-// none of the three configured the rollout loop allocates nothing it did not
-// already allocate. A request span attached to ctx (obs.ContextWithSpan)
-// gains one "tileseek.search" child covering the whole search, annotated
-// with the iteration budget and the evaluated/pruned/found outcome.
+// tileseek.searches, tileseek.rollouts, tileseek.evaluated, tileseek.pruned,
+// tileseek.cache_hits and tileseek.cache_misses (hits + misses = evaluated;
+// misses are the objective calls actually run); a logger attached to ctx
+// (obs.WithLogger) gets debug lines at search start and end; opts.Progress
+// streams one event per rollout. With none of the three configured the
+// rollout loop allocates nothing it did not already allocate. A request
+// span attached to ctx (obs.ContextWithSpan) gains one "tileseek.search"
+// child covering the whole search, annotated with the iteration budget and
+// the evaluated/pruned/found outcome.
 func SearchWithOptions(ctx context.Context, space Space, objective Objective, opts Options) (Result, error) {
 	ctx, sp := obs.StartSpan(ctx, "tileseek.search")
 	res, err := searchWithOptions(ctx, space, objective, opts)
@@ -468,12 +448,9 @@ func searchWithOptions(ctx context.Context, space Space, objective Objective, op
 	if iterations <= 0 {
 		iterations = 1
 	}
-	workers := resolveParallelism(opts.Parallelism)
 
 	// Instruments are hoisted out of the rollout loop; on an unset registry
-	// each is nil and its increments are single predicted branches. The
-	// cache counters are registered even on serial searches so they always
-	// appear in exported snapshots.
+	// each is nil and its increments are single predicted branches.
 	reg := obs.MetricsFrom(ctx)
 	rolloutsC := reg.Counter("tileseek.rollouts")
 	evaluatedC := reg.Counter("tileseek.evaluated")
@@ -484,8 +461,7 @@ func searchWithOptions(ctx context.Context, space Space, objective Objective, op
 	lg := obs.LoggerFrom(ctx)
 	if lg.Enabled(ctx, slog.LevelDebug) {
 		lg.Debug("tileseek: search start",
-			"space", space.Size(), "iterations", iterations, "seed", opts.Seed,
-			"parallelism", workers)
+			"space", space.Size(), "iterations", iterations, "seed", opts.Seed)
 	}
 	res := Result{BestCost: math.Inf(1)}
 	// scale normalises rewards: the first feasible cost maps to reward 1.
@@ -493,50 +469,31 @@ func searchWithOptions(ctx context.Context, space Space, objective Objective, op
 
 	w := &walker{space: space, levels: space.levels(), r: newRNG(opts.Seed), root: &node{}}
 
-	// consume resolves one feasible configuration to its objective value. At
-	// Parallelism 1 it is a direct call — exactly the historical serial path.
-	// Above 1 it goes through the speculator's memo cache: the master claims
-	// or joins the config's singleflight entry while P-1 workers replay the
-	// published trajectory ahead of the master and pre-evaluate the configs
-	// it is about to need. Only the master mutates w or res, so the
-	// trajectory — and therefore the Result — is bit-identical to serial.
-	consume := objective
-	if workers > 1 {
-		sp := newSpeculator(space, objective, opts.Seed, workers-1, opts.tuning(), hitsC, missesC, reg.Counter("tileseek.spec_evals"))
-		defer sp.stop()
-		consume = func(cfg tiling.Config) (float64, bool) {
-			return sp.consume(cfg, w, scale)
+	// consume resolves one feasible configuration to its objective value
+	// through the memo (see SearchWithOptions).
+	type memoEntry struct {
+		cost float64
+		ok   bool
+	}
+	memo := make(map[tiling.Config]memoEntry)
+	consume := func(cfg tiling.Config) (float64, bool) {
+		if e, hit := memo[cfg]; hit {
+			hitsC.Inc()
+			return e.cost, e.ok
 		}
-	} else if opts.Hint != nil {
-		// A warm serial search memoises the (pure, per the Hint contract)
-		// objective, mirroring the parallel engine's cache: the pre-visited
-		// hint biases the trajectory toward its own neighbourhood, so repeat
-		// configurations become free instead of re-paying the evaluation.
-		// Cold serial searches keep the historical direct-call path exactly.
-		type memoEntry struct {
-			cost float64
-			ok   bool
-		}
-		memo := make(map[tiling.Config]memoEntry)
-		consume = func(cfg tiling.Config) (float64, bool) {
-			if e, hit := memo[cfg]; hit {
-				hitsC.Inc()
-				return e.cost, e.ok
-			}
-			missesC.Inc()
-			cost, ok := objective(cfg)
-			memo[cfg] = memoEntry{cost: cost, ok: ok}
-			return cost, ok
-		}
+		missesC.Inc()
+		cost, ok := objective(cfg)
+		memo[cfg] = memoEntry{cost: cost, ok: ok}
+		return cost, ok
 	}
 
 	if opts.Hint != nil {
 		warmSeed(w, *opts.Hint, consume, &res, &scale, reg.Counter("tileseek.warm_seeds"), evaluatedC, prunedC)
 	}
 
-	// Fault-injection site, struck once per rollout on the master trajectory.
-	// Unconfigured (the production default) the hoisted lookup is nil and each
-	// Strike is a single predicted branch. An injected error or cancel aborts
+	// Fault-injection site, struck once per rollout. Unconfigured (the
+	// production default) the hoisted lookup is nil and each Strike is a
+	// single predicted branch. An injected error or cancel aborts
 	// the search exactly as a real mid-search failure would — callers see the
 	// partial Result plus the error, and the pipeline degrades around it.
 	chaosSite := chaos.SiteFrom(ctx, chaos.SiteTileseekRollout)

@@ -93,33 +93,3 @@ func TestInvalidTileHintColdIdentical(t *testing.T) {
 		}
 	}
 }
-
-// The promoted speculation knobs must resolve zeros to the historical
-// defaults and honour explicit overrides.
-func TestSpecTuningResolution(t *testing.T) {
-	def := Options{}.tuning()
-	if def.chainSteps != defaultSpecChainSteps || def.lookahead != defaultSpecLookahead || def.maxFresh != defaultSpecMaxFresh {
-		t.Fatalf("zero Options resolved to %+v, want package defaults", def)
-	}
-	got := Options{SpecChainSteps: 3, SpecLookahead: 40, SpecMaxFresh: 5}.tuning()
-	if got.chainSteps != 3 || got.lookahead != 40 || got.maxFresh != 5 {
-		t.Fatalf("explicit tuning not honoured: %+v", got)
-	}
-	// Tuning redistributes speculative work but never changes the result.
-	s := testSpace()
-	obj := syntheticObjective(s.Workload)
-	base, err := SearchWithOptions(context.Background(), s, obj, Options{Iterations: 80, Seed: 5, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := SearchWithOptions(context.Background(), s, obj, Options{
-		Iterations: 80, Seed: 5, Parallelism: 4,
-		SpecChainSteps: 2, SpecLookahead: 16, SpecMaxFresh: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tuned, base) {
-		t.Fatalf("speculation tuning changed the search result:\n%+v\nvs\n%+v", tuned, base)
-	}
-}

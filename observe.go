@@ -148,9 +148,9 @@ type ExperimentReport struct {
 // (cmd/experiments) can surface incomplete searches instead of silently
 // folding them into the numbers. csv selects CSV output instead of the
 // rendered table. parallelism bounds the worker pools used across the run —
-// independent grid cells, tile-search speculation, and DPipe candidate
-// evaluation (0 selects GOMAXPROCS, 1 forces the serial path); the rendered
-// tables are bit-identical at every setting.
+// independent grid cells, and inside a cell evaluated alone its sub-layers
+// and DPipe candidates (0 selects GOMAXPROCS, 1 forces the serial path); the
+// rendered tables are bit-identical at every setting.
 func RunExperimentReportContext(ctx context.Context, id string, searchBudget, parallelism int, csv bool) (ExperimentReport, error) {
 	return RunExperimentReportOptions(ctx, id, ExperimentRunOptions{
 		SearchBudget: searchBudget, Parallelism: parallelism, CSV: csv,
@@ -166,11 +166,6 @@ type ExperimentRunOptions struct {
 	// GOMAXPROCS, 1 forces the serial path); the rendered tables are
 	// bit-identical at every setting.
 	Parallelism int
-	// SpecChainSteps and SpecLookahead tune the parallel tile search's
-	// speculation (see RunSpec); zero keeps each default, and no setting
-	// changes the rendered tables.
-	SpecChainSteps int
-	SpecLookahead  int
 	// CSV selects CSV output instead of the rendered table.
 	CSV bool
 }
@@ -194,8 +189,6 @@ func RunExperimentReportOptions(ctx context.Context, id string, o ExperimentRunO
 		opts.TileSeekIterations = o.SearchBudget
 	}
 	opts.Parallelism = o.Parallelism
-	opts.SpecChainSteps = o.SpecChainSteps
-	opts.SpecLookahead = o.SpecLookahead
 	runner := experiments.NewRunnerContext(ctx, opts)
 	table, err := e.Run(runner)
 	if err != nil {
