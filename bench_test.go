@@ -323,35 +323,6 @@ func BenchmarkSearchWarm(b *testing.B) {
 	}
 }
 
-func BenchmarkPlanWarm(b *testing.B) {
-	probs := buildLlamaProblems(b)
-	prob := probs["mha"]
-	spec := cloudSpec()
-	cold, err := dpipe.Plan(prob, spec, dpipe.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	hint := dpipe.Hint{Order: cold.Order, First: cold.Bipartition.FirstSorted()}
-	for _, mode := range []string{"cold", "warm"} {
-		b.Run(mode, func(b *testing.B) {
-			opts := dpipe.DefaultOptions()
-			if mode == "warm" {
-				opts.WarmHints = []dpipe.Hint{hint}
-			}
-			reg := obs.NewRegistry()
-			ctx := obs.WithMetrics(context.Background(), reg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dpipe.ResetFronts()
-				if _, err := dpipe.PlanContext(ctx, prob, spec, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(reg.Counter("dpipe.dp_cells").Value())/float64(b.N), "cells/op")
-		})
-	}
-}
-
 // Sensitivity extensions.
 
 func BenchmarkSensitivityBandwidth(b *testing.B) { benchExperiment(b, "sensitivity-bandwidth") }

@@ -115,20 +115,13 @@ const frontsPerShape = 2048
 // candidate's total is extrapolated(mkAll, slope, rest) with rest >= 0, and
 // only rest differs.
 //
-// entries are the fully swept candidates that can still win. Candidate j
+// entries are the swept candidates that can still win. Candidate j
 // is dropped when some i has mkAll_i <= mkAll_j, slope_i <= slope_j and
 // key_i < key_j: rounding to nearest is monotone, so i's total is <= j's at
 // every rest and i wins a tie. Candidates whose mkAll or slope is +Inf or
 // NaN total +Inf or NaN at every rest and never win, so they go too.
-//
-// bounds are lower bounds of the candidates a warm plan pruned, (mkAll,
-// slope) pairs no larger than the candidate's own; a bound no entry
-// dominates (as above) and no other bound undercuts in both coordinates is
-// kept. A later plan whose best entry total is below every bound's total is
-// answered exactly; otherwise it sweeps every candidate again.
 type front struct {
 	entries []frontEntry
-	bounds  []frontEntry // cand unused
 }
 
 // frontEntry is one candidate's index in enumeration.cands and its
@@ -140,65 +133,37 @@ type frontEntry struct {
 
 // newFront reduces a plan's outcomes, indexed like cands, to a front.
 func newFront(cands []candidate, results []outcome) *front {
-	var exact, pruned []int
-	unbounded := false
+	var exact []int
 	for i, r := range results {
-		switch {
-		case r.pruned && (math.IsNaN(r.mkAll) || math.IsNaN(r.slope)):
-			unbounded = true
-		case r.pruned:
-			pruned = append(pruned, i)
-		case !math.IsInf(r.mkAll, 1) && !math.IsNaN(r.mkAll) && !math.IsInf(r.slope, 1) && !math.IsNaN(r.slope):
+		if !math.IsInf(r.mkAll, 1) && !math.IsNaN(r.mkAll) && !math.IsInf(r.slope, 1) && !math.IsNaN(r.slope) {
 			exact = append(exact, i)
 		}
 	}
 	// A dominator sorts before what it dominates, and domination is
 	// transitive, so comparing against the kept entries alone suffices.
-	byFigures := func(idx []int) {
-		sort.Slice(idx, func(a, b int) bool {
-			ra, rb := results[idx[a]], results[idx[b]]
-			if ra.mkAll != rb.mkAll {
-				return ra.mkAll < rb.mkAll
-			}
-			if ra.slope != rb.slope {
-				return ra.slope < rb.slope
-			}
-			return cands[idx[a]].key < cands[idx[b]].key
-		})
-	}
-	byFigures(exact)
+	sort.Slice(exact, func(a, b int) bool {
+		ra, rb := results[exact[a]], results[exact[b]]
+		if ra.mkAll != rb.mkAll {
+			return ra.mkAll < rb.mkAll
+		}
+		if ra.slope != rb.slope {
+			return ra.slope < rb.slope
+		}
+		return cands[exact[a]].key < cands[exact[b]].key
+	})
 	f := &front{}
-	dominated := func(j int) bool {
+	for _, j := range exact {
 		r := results[j]
+		dominated := false
 		for _, e := range f.entries {
 			if e.mkAll <= r.mkAll && e.slope <= r.slope && cands[e.cand].key < cands[j].key {
-				return true
+				dominated = true
+				break
 			}
 		}
-		return false
-	}
-	for _, j := range exact {
-		if !dominated(j) {
-			f.entries = append(f.entries, frontEntry{cand: j, mkAll: results[j].mkAll, slope: results[j].slope})
+		if !dominated {
+			f.entries = append(f.entries, frontEntry{cand: j, mkAll: r.mkAll, slope: r.slope})
 		}
-	}
-	if unbounded {
-		// A pruned candidate without a usable bound: no total clears it.
-		f.bounds = []frontEntry{{mkAll: math.Inf(-1), slope: math.Inf(-1)}}
-		return f
-	}
-	byFigures(pruned)
-	for _, j := range pruned {
-		r := results[j]
-		if math.IsInf(r.mkAll, 1) || math.IsInf(r.slope, 1) || dominated(j) {
-			continue
-		}
-		// Sorted by mkAll, a bound is undercut exactly when an earlier kept
-		// one has a slope no larger.
-		if n := len(f.bounds); n > 0 && f.bounds[n-1].slope <= r.slope {
-			continue
-		}
-		f.bounds = append(f.bounds, frontEntry{mkAll: r.mkAll, slope: r.slope})
 	}
 	return f
 }

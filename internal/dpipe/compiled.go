@@ -174,20 +174,15 @@ type recorder struct {
 //
 // assign, when non-nil, records each op's last placement as
 // perf.ArrayKind+1 (0 = never placed). rec, when non-nil, records every
-// placement. cells is credited with one increment per instance placed
-// (nil-safe; on a cold sweep a single upfront Add covering the whole
-// sequence; on a bounded sweep the instances actually placed, credited when
-// the sweep ends or aborts).
+// placement. cells is credited with one increment per instance in seq
+// (nil-safe; a single upfront Add, so the inner loop stays
+// allocation-free).
 //
 // A sequence whose instance finds a dependency unscheduled (possible when a
 // state producer lands in the second subgraph while its consumer sits in the
-// first) is rejected with an infinite makespan. sb, when non-nil, arms the
-// warm-start abort (see sweepBound): the sweep returns +Inf as soon as the
-// candidate provably cannot beat sb.limit. A nil sb is the exact cold sweep.
-func (c *compiled) sweep(s *scratch, seq []slot, epochs int, cells *obs.Counter, sb *sweepBound, assign []int8, rec *recorder) (float64, [2]float64) {
-	if sb == nil {
-		cells.Add(int64(len(seq)))
-	}
+// first) is rejected with an infinite makespan.
+func (c *compiled) sweep(s *scratch, seq []slot, epochs int, cells *obs.Counter, assign []int8, rec *recorder) (float64, [2]float64) {
+	cells.Add(int64(len(seq)))
 	n := len(c.names)
 	if cap(s.endT) < epochs*n {
 		s.endT = make([]float64, epochs*n)
@@ -199,7 +194,7 @@ func (c *compiled) sweep(s *scratch, seq []slot, epochs int, cells *obs.Counter,
 	var timeline, busy [2]float64
 	makespan := 0.0
 
-	for i, inst := range seq {
+	for _, inst := range seq {
 		op, row := int(inst.op), int(inst.epoch)*n
 		// Latest dependency completion: intra-epoch predecessors plus
 		// cross-epoch state edges from the previous epoch.
@@ -207,9 +202,6 @@ func (c *compiled) sweep(s *scratch, seq []slot, epochs int, cells *obs.Counter,
 		for _, pred := range c.preds[op] {
 			e := endT[row+pred]
 			if e == unscheduled {
-				if sb != nil {
-					cells.Add(int64(i + 1))
-				}
 				if rec != nil {
 					rec.err = fmt.Errorf("dpipe: trace: dependency %s@%d unscheduled before %s@%d",
 						c.names[pred], inst.epoch, c.names[op], inst.epoch)
@@ -224,9 +216,6 @@ func (c *compiled) sweep(s *scratch, seq []slot, epochs int, cells *obs.Counter,
 			for _, from := range c.state[op] {
 				e := endT[row-n+from]
 				if e == unscheduled {
-					if sb != nil {
-						cells.Add(int64(i + 1))
-					}
 					if rec != nil {
 						rec.err = fmt.Errorf("dpipe: trace: state dependency %s@%d unscheduled before %s@%d",
 							c.names[from], inst.epoch-1, c.names[op], inst.epoch)
@@ -268,32 +257,6 @@ func (c *compiled) sweep(s *scratch, seq []slot, epochs int, cells *obs.Counter,
 		if bestEnd > makespan {
 			makespan = bestEnd
 		}
-
-		if sb != nil {
-			if i+1 == sb.checkpoint {
-				sb.ckMk = makespan
-				sb.ckBusy1 = busy[perf.PE1D]
-				sb.ckBusy2 = busy[perf.PE2D]
-			}
-			// Lower-bound the final extrapolated total (see sweepBound's
-			// soundness note) and abort once it clears the incumbent.
-			lb := makespan
-			if sb.scale > 0 && (sb.checkpoint == 0 || i+1 > sb.checkpoint) {
-				mb := sb.mkBase
-				if sb.checkpoint > 0 {
-					mb = sb.ckMk
-				}
-				lb = makespan + (makespan-mb)*sb.scale
-			}
-			if lb > sb.limit {
-				sb.aborted, sb.abortMk, sb.abortAt = true, makespan, i+1
-				cells.Add(int64(i + 1))
-				return math.Inf(1), busy
-			}
-		}
-	}
-	if sb != nil {
-		cells.Add(int64(len(seq)))
 	}
 	return makespan, busy
 }
@@ -315,15 +278,13 @@ func maxFloat(x, y float64) float64 {
 // cycles (indexed by perf.ArrayKind), with the explicit-window figures the
 // makespan was extrapolated from: mkAll, the window's makespan, and slope,
 // its steady-state per-epoch increment (0 when the window covers every
-// epoch). An unschedulable candidate reads +Inf in total and mkAll. A
-// pruned one reads +Inf in total, and mkAll and slope are lower bounds of
-// the figures its complete sweeps would have produced.
+// epoch). An unschedulable candidate reads +Inf in mkAll and +Inf or NaN
+// in total.
 type outcome struct {
-	total  float64
-	busy   [2]float64
-	mkAll  float64
-	slope  float64
-	pruned bool
+	total float64
+	busy  [2]float64
+	mkAll float64
+	slope float64
 }
 
 // window clamps an explicit-epoch count to the problem: the DP sweeps k
@@ -355,9 +316,9 @@ func extrapolated(all, slope, rest float64) float64 { return all + slope*rest }
 
 // run builds the candidate's sequence over epochs explicit epochs in the
 // worker's scratch and sweeps it.
-func (c *compiled) run(s *scratch, order []int, first []bool, epochs int, cells *obs.Counter, sb *sweepBound, assign []int8) (float64, [2]float64) {
+func (c *compiled) run(s *scratch, order []int, first []bool, epochs int, cells *obs.Counter, assign []int8) (float64, [2]float64) {
 	s.seq = sequence(s.seq[:0], order, first, epochs)
-	return c.sweep(s, s.seq, epochs, cells, sb, assign, nil)
+	return c.sweep(s, s.seq, epochs, cells, assign, nil)
 }
 
 // evaluate runs the Eq. 43–46 DP over explicitEpochs epochs and
@@ -367,28 +328,12 @@ func (c *compiled) run(s *scratch, order []int, first []bool, epochs int, cells 
 // 7(d)); a nil first yields plain epoch-major sequencing. cells, when
 // non-nil, counts DP instance placements. assign, when non-nil, receives the
 // last explicit epoch's per-op array assignment (see sweep).
-//
-// bound, when finite, is a warm-start incumbent total: the sweeps abort
-// with +Inf as soon as a sound lower bound of this candidate's final
-// extrapolated total exceeds it (see sweepBound). An infinite bound runs
-// the exact cold path — same sweeps, same order, same upfront cell
-// accounting.
-func (c *compiled) evaluate(s *scratch, order []int, first []bool, explicitEpochs int, cells *obs.Counter, bound float64, assign []int8) outcome {
+func (c *compiled) evaluate(s *scratch, order []int, first []bool, explicitEpochs int, cells *obs.Counter, assign []int8) outcome {
 	k, exact := c.window(explicitEpochs)
-	warm := !math.IsInf(bound, 1)
-
+	mkAll, busyAll := c.run(s, order, first, k, cells, assign)
 	if exact {
-		// All epochs explicit: the makespan is the total, so the incumbent
-		// bounds the sweep directly (scale 0 = no extrapolation term).
-		var sb *sweepBound
-		if warm {
-			sb = &sweepBound{limit: bound}
-		}
-		mk, busy := c.run(s, order, first, k, cells, sb, assign)
-		if sb != nil && sb.aborted {
-			return outcome{total: math.Inf(1), busy: busy, mkAll: sb.abortMk, pruned: true}
-		}
-		return outcome{total: mk, busy: busy, mkAll: mk}
+		// All epochs explicit: the makespan is the total.
+		return outcome{total: mkAll, busy: busyAll, mkAll: mkAll}
 	}
 
 	// Steady-state extrapolation: average the per-epoch increment over the
@@ -400,111 +345,19 @@ func (c *compiled) evaluate(s *scratch, order []int, first []bool, explicitEpoch
 	}
 	span := float64(k - base)
 	rest := c.rest(k)
-	extrapolate := func(mkAll, mkBase float64, busyAll, busyBase [2]float64) outcome {
-		deltaMk := perEpoch(mkAll, mkBase, span)
-		var busy [2]float64
-		for arr := range busy {
-			busy[arr] = extrapolated(busyAll[arr], perEpoch(busyAll[arr], busyBase[arr], span), rest)
-		}
-		return outcome{total: extrapolated(mkAll, deltaMk, rest), busy: busy, mkAll: mkAll, slope: deltaMk}
+	mkBase, busyBase := c.run(s, order, first, base, cells, nil)
+	deltaMk := perEpoch(mkAll, mkBase, span)
+	var busy [2]float64
+	for arr := range busy {
+		busy[arr] = extrapolated(busyAll[arr], perEpoch(busyAll[arr], busyBase[arr], span), rest)
 	}
-
-	if !warm {
-		mkAll, busyAll := c.run(s, order, first, k, cells, nil, assign)
-		mkBase, busyBase := c.run(s, order, first, base, cells, nil, nil)
-		return extrapolate(mkAll, mkBase, busyAll, busyBase)
-	}
-
-	if first == nil {
-		// Epoch-major sequences nest: the base window is a strict prefix of
-		// the full sequence and the DP is a deterministic left-to-right
-		// recurrence, so one bounded sweep with a checkpoint at the base
-		// boundary recovers bit-identical (mkBase, busyBase) values to the
-		// cold path's separate base sweep — at two thirds of its cells, plus
-		// whatever the bound aborts.
-		sb := &sweepBound{limit: bound, scale: rest / span, checkpoint: base * len(order)}
-		mkAll, busyAll := c.run(s, order, nil, k, cells, sb, assign)
-		if sb.aborted {
-			// The full sequence extends the base window, so mkAll >= mkBase
-			// and the slope is >= 0; past the checkpoint mkBase is known.
-			slope := 0.0
-			if sb.abortAt >= sb.checkpoint {
-				slope = perEpoch(sb.abortMk, sb.ckMk, span)
-			}
-			return outcome{total: math.Inf(1), busy: busyAll, mkAll: sb.abortMk, slope: slope, pruned: true}
-		}
-		if math.IsInf(mkAll, 1) {
-			return outcome{total: math.Inf(1), busy: busyAll, mkAll: math.Inf(1)}
-		}
-		var busyBase [2]float64
-		busyBase[perf.PE1D], busyBase[perf.PE2D] = sb.ckBusy1, sb.ckBusy2
-		return extrapolate(mkAll, sb.ckMk, busyAll, busyBase)
-	}
-
-	// Bipartition sequences do not nest (the base window interleaves
-	// differently), and greedy list-scheduling anomalies mean mkAll >= mkBase
-	// is unproven — so the base sweep runs unbounded, exactly as cold, and
-	// only the full sweep gets the slope-aware bound seeded with the exact
-	// mkBase.
-	mkBase, busyBase := c.run(s, order, first, base, cells, nil, nil)
-	if math.IsInf(mkBase, 1) {
-		// The order violates a dependency; the full sweep would be +Inf too.
-		// Return a clean +Inf rather than extrapolating Inf-Inf into NaN.
-		return outcome{total: math.Inf(1), busy: busyBase, mkAll: math.Inf(1)}
-	}
-	sb := &sweepBound{limit: bound, mkBase: mkBase, scale: rest / span}
-	mkAll, busyAll := c.run(s, order, first, k, cells, sb, assign)
-	if sb.aborted {
-		return outcome{total: math.Inf(1), busy: busyAll, mkAll: sb.abortMk, slope: perEpoch(sb.abortMk, mkBase, span), pruned: true}
-	}
-	if math.IsInf(mkAll, 1) {
-		return outcome{total: math.Inf(1), busy: busyAll, mkAll: math.Inf(1)}
-	}
-	return extrapolate(mkAll, mkBase, busyAll, busyBase)
-}
-
-// sweepBound arms one schedule sweep with a warm-start abort: the sweep
-// stops, returning +Inf, as soon as lb(m) > limit, where m is the monotone
-// prefix makespan and lb is a provable lower bound of the candidate's final
-// extrapolated total. Soundness:
-//
-//   - Before the checkpoint of a nesting (epoch-major) sweep, and whenever
-//     no extrapolation applies (scale 0), lb = m: the final makespan is at
-//     least any prefix makespan, and the extrapolated total adds a
-//     non-negative term.
-//   - Past the checkpoint (or with mkBase supplied), lb = f(m) =
-//     m + (m-mkBase)*scale. f is increasing in m (scale >= 0) and the final
-//     total equals f(final makespan) with final makespan >= m, so
-//     f(m) <= total.
-//
-// Because the limit carries a relative slack, a candidate whose exact total
-// ties the incumbent is never aborted by rounding in f — warm pruning only
-// removes candidates that are strictly worse than the hinted incumbent.
-//
-// An aborted sweep records its prefix makespan m, a lower bound of the
-// complete sweep's makespan that the front cache keeps (see front).
-type sweepBound struct {
-	limit  float64 // abort threshold (the hinted incumbent total, plus slack)
-	mkBase float64 // base-window makespan for the extrapolated bound (bipartition sweeps)
-	scale  float64 // rest/span extrapolation factor; 0 disables the slope term
-	// checkpoint, when positive, is the instance index ending the base
-	// window of a nesting sweep; the DP state there is recorded below and
-	// stands in for the cold path's separate base sweep.
-	checkpoint int
-	ckMk       float64
-	ckBusy1    float64
-	ckBusy2    float64
-	// aborted is set when the sweep stopped on the bound, after abortAt
-	// instances with prefix makespan abortMk.
-	aborted bool
-	abortMk float64
-	abortAt int
+	return outcome{total: extrapolated(mkAll, deltaMk, rest), busy: busy, mkAll: mkAll, slope: deltaMk}
 }
 
 // evaluateOrder compiles the problem and evaluates one candidate with the
 // DP; it serves single-schedule callers (StaticPipelined) and the equation
 // oracles.
-func evaluateOrder(p *Problem, spec arch.Spec, order []string, first map[string]bool, explicitEpochs int, fixedAssign map[string]perf.ArrayKind, cells *obs.Counter, bound float64) (Result, error) {
+func evaluateOrder(p *Problem, spec arch.Spec, order []string, first map[string]bool, explicitEpochs int, fixedAssign map[string]perf.ArrayKind, cells *obs.Counter) (Result, error) {
 	c, err := compile(p, spec, fixedAssign)
 	if err != nil {
 		return Result{}, err
@@ -515,6 +368,6 @@ func evaluateOrder(p *Problem, spec arch.Spec, order []string, first map[string]
 	}
 	cand := candidate{order: ord, first: c.firstSet(first)}
 	assign := make([]int8, len(c.names))
-	out := c.evaluate(&scratch{}, cand.order, cand.first, explicitEpochs, cells, bound, assign)
+	out := c.evaluate(&scratch{}, cand.order, cand.first, explicitEpochs, cells, assign)
 	return c.result(cand, out, assign), nil
 }

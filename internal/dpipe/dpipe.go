@@ -27,6 +27,7 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -172,18 +173,11 @@ type Options struct {
 	Progress obs.ProgressFunc
 	// WarmHints, when non-empty, are previously winning (order, first-set)
 	// candidates — typically from the stored plan for the nearest sequence
-	// length — inserted at the head of the deterministic candidate frontier.
-	// Valid hints are evaluated first, unbounded; the best hinted total then
-	// bounds every remaining candidate's DP sweep, which aborts as soon as a
-	// sound lower bound of its extrapolated total exceeds the hinted
-	// incumbent. The winning schedule is unchanged: pruned candidates are
-	// provably worse than the incumbent, and because the bound is fixed
-	// before the fan-out (never tightened mid-flight) the per-candidate DP
-	// cell counts are deterministic at every Parallelism. Hints that do not
-	// match the problem's DAG are ignored; with no valid hint planning is
-	// bit-identical to a cold plan. A plan that the front cache settles
-	// (see PlanContext) prunes nothing: its hints only add the candidates
-	// the enumeration lacks.
+	// length. A valid hint is one more candidate: one the enumeration lacks
+	// is appended to the candidate list and swept like any other, so the
+	// plan is never worse than its best hint, and when the enumeration holds
+	// every hint the plan is a cold plan, Result and DP cells alike. Hints
+	// that do not match the problem's DAG are ignored.
 	WarmHints []Hint
 }
 
@@ -200,8 +194,7 @@ type Hint struct {
 // nodes and First is a strict, duplicate-free subset of them; anything else
 // (a hint from a structurally different layer) reports false and is
 // ignored. Dependency violations need no checking here: an order that
-// breaks the DAG earns an infinite makespan from the DP and simply never
-// becomes the incumbent.
+// breaks the DAG earns an infinite makespan from the DP and never wins.
 func (h Hint) bipartition(p *Problem) (graph.Bipartition, bool) {
 	if len(h.Order) != len(p.Deps.Nodes()) {
 		return graph.Bipartition{}, false
@@ -256,9 +249,8 @@ func Plan(p *Problem, spec arch.Spec, opts Options) (Result, error) {
 // Observability: a logger attached to ctx (obs.WithLogger) gets a debug line
 // per plan; a registry attached to ctx (obs.WithMetrics) accumulates
 // dpipe.plans, dpipe.enumerated, dpipe.bipartitions, dpipe.candidates,
-// dpipe.dp_cells, dpipe.front_hits, dpipe.front_misses (of which
-// dpipe.front_refills found a front that could not settle the plan), and
-// the dpipe.plan_ms histogram. Every plan that reaches candidate evaluation
+// dpipe.dp_cells, dpipe.front_hits, dpipe.front_misses and the
+// dpipe.plan_ms histogram. Every plan that reaches candidate evaluation
 // is one front hit or miss, except under a chaos injector. A request span
 // attached to ctx (obs.ContextWithSpan) gains one "dpipe.plan" child
 // annotated with the candidate count.
@@ -268,7 +260,9 @@ func Plan(p *Problem, spec arch.Spec, opts Options) (Result, error) {
 // which enters only through the extrapolation. Each plan leaves, under that
 // key, the candidates that can win at some epoch count; a later plan under
 // the key, at any epoch count, reduces over them and sweeps only the winner.
-// Its Result is bit-identical to a plan that sweeps everything.
+// Its Result is bit-identical to a plan that sweeps everything. Warm plans
+// read and fill fronts like any other; a hint the enumeration lacks is
+// swept on every plan.
 func PlanContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) (Result, error) {
 	ctx, sp := obs.StartSpan(ctx, "dpipe.plan")
 	res, err := planContext(ctx, p, spec, opts)
@@ -346,45 +340,27 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 		e = storeEnumeration(key, e)
 	}
 
-	// Warm start: validated hints occupy the head of the candidate list, so
-	// they are evaluated before the enumerated frontier and their best total
-	// becomes the pruning bound for everything after them. Candidates are
-	// deduplicated by canonical key (see candidateSet); the enumeration
-	// regenerating a hinted candidate is the one case dedup_skipped
-	// legitimately fires.
+	// Warm start: each valid hint the enumeration lacks is appended to the
+	// enumerated candidates, so a front's candidate indices are list indices.
+	// Candidates are deduplicated by canonical key (see candidateSet); the
+	// enumeration regenerating a hinted candidate is the one case
+	// dedup_skipped legitimately fires.
 	dedup.Add(int64(e.dups))
-	hints := newCandidateSet(c.index, dedup)
-	for _, h := range opts.WarmHints {
-		if part, ok := h.bipartition(p); ok {
-			hints.add(h.Order, part)
-		}
-	}
-	nHints := len(hints.list)
 	list := e.cands
-	// With hints, at[i] is the list index of enumerated candidate i, and
-	// extras are the list indices of the hints the enumeration lacks.
-	var at, extras []int
-	if nHints > 0 {
-		list = hints.list
-		hinted := make(map[string]int, nHints)
-		for i, h := range hints.list {
-			hinted[h.key] = i
+	if len(opts.WarmHints) > 0 {
+		hints := newCandidateSet(c.index, dedup)
+		for _, h := range opts.WarmHints {
+			if part, ok := h.bipartition(p); ok {
+				hints.add(h.Order, part)
+			}
 		}
-		at = make([]int, len(e.cands))
-		for i, cand := range e.cands {
-			if h, ok := hinted[cand.key]; ok {
+		list = list[:len(list):len(list)] // appends copy, never touching the shared e.cands
+		for _, h := range hints.list {
+			if slices.ContainsFunc(e.cands, func(cand candidate) bool { return cand.key == h.key }) {
 				dedup.Inc()
-				at[i] = h
-				delete(hinted, cand.key)
 				continue
 			}
-			at[i] = len(list)
-			list = append(list, cand)
-		}
-		for i := 0; i < nHints; i++ {
-			if _, ok := hinted[list[i].key]; ok {
-				extras = append(extras, i)
-			}
+			list = append(list, h)
 		}
 	}
 
@@ -400,38 +376,29 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 
 	cells := reg.Counter("dpipe.dp_cells") // nil-safe on a nil registry
 
-	// Front cache (see PlanContext and front). A front that a warm plan left
-	// holds only lower bounds for the candidates it pruned, and may not
-	// settle a plan at another epoch count; that plan then sweeps every
-	// candidate unpruned and replaces the front. A shape with a single
+	// Front cache (see PlanContext and front). A shape with a single
 	// candidate keeps no front: a hit would sweep that candidate just as a
-	// miss does, so its plans count as misses. Chaos runs strike a fault
-	// site per candidate, so they always sweep.
-	var res Result
+	// miss does, so its plans count as misses. Chaos runs strike a fault site
+	// per candidate, so they always sweep and count as neither.
+	chaosRun := chaos.From(ctx) != nil
 	var fkey []byte
-	hit, bounding := false, nHints // hints that bound the sweeps
-	if chaos.From(ctx) == nil {
-		if len(e.cands) > 1 {
-			k, exact := c.window(opts.ExplicitEpochs)
-			fkey = c.frontKey(make([]byte, 0, 16*len(c.names)+16), k, exact)
-			if f := e.cachedFront(fkey); f != nil {
-				if res, hit, err = c.planFront(ctx, list, e.cands, extras, f, opts.ExplicitEpochs, cells); err != nil {
-					return Result{}, err
-				}
-				if !hit {
-					bounding = 0
-					reg.Counter("dpipe.front_refills").Inc()
-				}
-			}
+	var f *front
+	if !chaosRun && len(e.cands) > 1 {
+		k, exact := c.window(opts.ExplicitEpochs)
+		fkey = c.frontKey(make([]byte, 0, 16*len(c.names)+16), k, exact)
+		f = e.cachedFront(fkey)
+	}
+	var res Result
+	if f != nil {
+		if res, err = c.planFront(ctx, list, len(e.cands), f, opts.ExplicitEpochs, cells); err != nil {
+			return Result{}, err
 		}
-		if hit {
-			reg.Counter("dpipe.front_hits").Inc()
-		} else {
+		reg.Counter("dpipe.front_hits").Inc()
+	} else {
+		if !chaosRun {
 			reg.Counter("dpipe.front_misses").Inc()
 		}
-	}
-	if !hit {
-		results, assigns, err := c.evaluateAll(ctx, p.Name, list, bounding, opts, cells, reg)
+		results, assigns, err := c.evaluateAll(ctx, p.Name, list, opts, cells, reg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -445,14 +412,7 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 			res = c.result(list[best.i], results[best.i], assigns[best.i*n:(best.i+1)*n])
 		}
 		if fkey != nil {
-			byCand := results
-			if at != nil {
-				byCand = make([]outcome, len(e.cands))
-				for i, li := range at {
-					byCand[i] = results[li]
-				}
-			}
-			e.storeFront(fkey, newFront(e.cands, byCand))
+			e.storeFront(fkey, newFront(e.cands, results[:len(e.cands)]))
 		}
 	}
 	res.Candidates = len(list)
@@ -475,10 +435,8 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 
 // evaluateAll runs the DP sweeps of every candidate in list and returns
 // their outcomes with their assignment records (candidate i's is
-// assigns[i*n:(i+1)*n] for n ops; see sweep). The first nHints candidates
-// are warm hints: they run first, serially and unbounded, and their best
-// total bounds the sweeps of the rest.
-func (c *compiled) evaluateAll(ctx context.Context, name string, list []candidate, nHints int, opts Options, cells *obs.Counter, reg *obs.Registry) ([]outcome, []int8, error) {
+// assigns[i*n:(i+1)*n] for n ops; see sweep).
+func (c *compiled) evaluateAll(ctx context.Context, name string, list []candidate, opts Options, cells *obs.Counter, reg *obs.Registry) ([]outcome, []int8, error) {
 	// Fault-injection site, struck once per candidate schedule evaluation on
 	// both the serial and the pooled path; nil (a single branch) when no
 	// injector is attached to ctx.
@@ -487,45 +445,18 @@ func (c *compiled) evaluateAll(ctx context.Context, name string, list []candidat
 	results := make([]outcome, len(list))
 	// Only the winner's assignment record becomes a map.
 	assigns := make([]int8, len(list)*n)
-	eval := func(s *scratch, i int, bound float64) {
+	eval := func(s *scratch, i int) {
 		cand := list[i]
-		results[i] = c.evaluate(s, cand.order, cand.first, opts.ExplicitEpochs, cells, bound, assigns[i*n:(i+1)*n])
-	}
-
-	// Hinted candidates run first, serially and unbounded — their totals
-	// must be exact, both because one of them is probably the winner and
-	// because the minimum becomes the pruning bound. The bound is fixed here
-	// and never tightened during the fan-out: an improving bound would make
-	// per-candidate cell counts depend on evaluation order and break the
-	// cross-parallelism determinism of dpipe.dp_cells. The relative slack
-	// keeps a candidate whose exact total ties the incumbent from being
-	// pruned by floating-point noise in the mid-sweep lower bound, so the
-	// deterministic tie-break reduction sees exactly the same finite totals
-	// a cold plan would compute.
-	var serial scratch
-	bound := math.Inf(1)
-	for i := 0; i < nHints; i++ {
-		if ctx.Err() != nil {
-			return nil, nil, faults.Canceled(ctx)
-		}
-		if err := chaosSite.Strike(ctx); err != nil {
-			return nil, nil, fmt.Errorf("dpipe: problem %s: %w", name, err)
-		}
-		eval(&serial, i, math.Inf(1))
-		if t := results[i].total; t < bound {
-			bound = t
-		}
-	}
-	if !math.IsInf(bound, 1) {
-		bound *= 1 + 1e-9
+		results[i] = c.evaluate(s, cand.order, cand.first, opts.ExplicitEpochs, cells, assigns[i*n:(i+1)*n])
 	}
 
 	workers := resolveParallelism(opts.Parallelism)
-	if workers > len(list)-nHints {
-		workers = len(list) - nHints
+	if workers > len(list) {
+		workers = len(list)
 	}
 	if workers <= 1 {
-		for i := nHints; i < len(list); i++ {
+		var serial scratch
+		for i := range list {
 			// Cancellation is checked per candidate schedule: a canceled plan
 			// returns promptly instead of finishing the DP sweep.
 			if ctx.Err() != nil {
@@ -534,7 +465,7 @@ func (c *compiled) evaluateAll(ctx context.Context, name string, list []candidat
 			if err := chaosSite.Strike(ctx); err != nil {
 				return nil, nil, fmt.Errorf("dpipe: problem %s: %w", name, err)
 			}
-			eval(&serial, i, bound)
+			eval(&serial, i)
 		}
 		return results, assigns, nil
 	}
@@ -563,7 +494,7 @@ func (c *compiled) evaluateAll(ctx context.Context, name string, list []candidat
 			}()
 			var s scratch
 			for {
-				i := int(next.Add(1)) - 1 + nHints
+				i := int(next.Add(1)) - 1
 				// Cancellation is checked per candidate schedule, as on the
 				// serial path.
 				if i >= len(list) || ctx.Err() != nil {
@@ -577,7 +508,7 @@ func (c *compiled) evaluateAll(ctx context.Context, name string, list []candidat
 					panicMu.Unlock()
 					return
 				}
-				eval(&s, i, bound)
+				eval(&s, i)
 			}
 		}()
 	}
@@ -594,54 +525,46 @@ func (c *compiled) evaluateAll(ctx context.Context, name string, list []candidat
 	return results, assigns, nil
 }
 
-// planFront plans from a cached front (see front) over the enumerated
-// candidates cands; extras are the list indices of this plan's hints that
-// cands lacks, swept here. It reduces over the entries' totals at this
-// problem's epoch count and the extras', then sweeps the winner for its busy
-// cycles and assignment, so only those sweeps count as DP cells. ok is
-// false, with nothing swept but the extras, when a bound of a pruned
-// candidate does not clear the best total.
-func (c *compiled) planFront(ctx context.Context, list, cands []candidate, extras []int, f *front, explicitEpochs int, cells *obs.Counter) (res Result, ok bool, err error) {
+// planFront plans from a cached front (see front) over list, whose first
+// nEnum candidates are the enumerated ones the front indexes; the rest are
+// hints the enumeration lacks, swept here. It reduces over the entries'
+// totals at this problem's epoch count and the hints', then sweeps the
+// winner for its busy cycles and assignment, so only those sweeps count as
+// DP cells.
+func (c *compiled) planFront(ctx context.Context, list []candidate, nEnum int, f *front, explicitEpochs int, cells *obs.Counter) (Result, error) {
 	if ctx.Err() != nil {
-		return Result{}, false, faults.Canceled(ctx)
+		return Result{}, faults.Canceled(ctx)
 	}
 	k, exact := c.window(explicitEpochs)
 	rest := c.rest(k)
-	total := func(mkAll, slope float64) float64 {
-		if exact {
-			return mkAll
-		}
-		return extrapolated(mkAll, slope, rest)
-	}
 	n := len(c.names)
 	best := argmin{i: -1}
 	var s scratch
+	extras := list[nEnum:]
 	outs := make([]outcome, len(extras))
 	assigns := make([]int8, len(extras)*n)
-	for h, li := range extras {
-		cand := list[li]
-		outs[h] = c.evaluate(&s, cand.order, cand.first, explicitEpochs, cells, math.Inf(1), assigns[h*n:(h+1)*n])
-		best.offer(len(cands)+h, outs[h].total, cand.key)
+	for h, cand := range extras {
+		outs[h] = c.evaluate(&s, cand.order, cand.first, explicitEpochs, cells, assigns[h*n:(h+1)*n])
+		best.offer(nEnum+h, outs[h].total, cand.key)
 	}
 	for _, e := range f.entries {
-		best.offer(e.cand, total(e.mkAll, e.slope), cands[e.cand].key)
-	}
-	for _, b := range f.bounds {
-		if best.i < 0 || !(total(b.mkAll, b.slope) > best.total) {
-			return Result{}, false, nil
+		total := e.mkAll
+		if !exact {
+			total = extrapolated(e.mkAll, e.slope, rest)
 		}
+		best.offer(e.cand, total, list[e.cand].key)
 	}
 	switch {
 	case best.i < 0:
-		return Result{TotalCycles: math.Inf(1)}, true, nil
-	case best.i >= len(cands):
-		h := best.i - len(cands)
-		return c.result(list[extras[h]], outs[h], assigns[h*n:(h+1)*n]), true, nil
+		return Result{TotalCycles: math.Inf(1)}, nil
+	case best.i >= nEnum:
+		h := best.i - nEnum
+		return c.result(extras[h], outs[h], assigns[h*n:(h+1)*n]), nil
 	}
-	cand := cands[best.i]
+	cand := list[best.i]
 	assign := make([]int8, n)
-	out := c.evaluate(&s, cand.order, cand.first, explicitEpochs, cells, math.Inf(1), assign)
-	return c.result(cand, out, assign), true, nil
+	out := c.evaluate(&s, cand.order, cand.first, explicitEpochs, cells, assign)
+	return c.result(cand, out, assign), nil
 }
 
 // argmin is the deterministic reduction over candidate totals: min total,
@@ -654,10 +577,10 @@ type argmin struct {
 	key   string
 }
 
-// offer considers candidate i. Unschedulable candidates never win: pruned
-// sweeps report +Inf, and a dependency-violating hint evaluated cold can
-// extrapolate Inf-Inf into NaN. A NaN reaching the incumbent first would
-// poison every later < comparison.
+// offer considers candidate i. Unschedulable candidates never win: a
+// dependency-violating sweep reports +Inf, which extrapolation can turn
+// into Inf-Inf = NaN. A NaN reaching the incumbent first would poison every
+// later < comparison.
 func (m *argmin) offer(i int, total float64, key string) {
 	if math.IsInf(total, 1) || math.IsNaN(total) {
 		return
@@ -745,7 +668,7 @@ func StaticPipelined(p *Problem, spec arch.Spec, assign map[string]perf.ArrayKin
 	if err != nil {
 		return Result{}, fmt.Errorf("dpipe: problem %s: %w", p.Name, err)
 	}
-	return evaluateOrder(p, spec, order, nil, 12, assign, nil, math.Inf(1))
+	return evaluateOrder(p, spec, order, nil, 12, assign, nil)
 }
 
 // ClassAssignment returns the prior-work static assignment: contraction

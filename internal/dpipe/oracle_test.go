@@ -121,9 +121,9 @@ func randomProblem(rng *rand.Rand, caseIdx int) *Problem {
 }
 
 // mustEvaluateOrder evaluates one candidate with the compiled DP.
-func mustEvaluateOrder(t *testing.T, p *Problem, spec arch.Spec, order []string, first map[string]bool, explicitEpochs int, fixedAssign map[string]perf.ArrayKind, cells *obs.Counter, bound float64) Result {
+func mustEvaluateOrder(t *testing.T, p *Problem, spec arch.Spec, order []string, first map[string]bool, explicitEpochs int, fixedAssign map[string]perf.ArrayKind, cells *obs.Counter) Result {
 	t.Helper()
-	res, err := evaluateOrder(p, spec, order, first, explicitEpochs, fixedAssign, cells, bound)
+	res, err := evaluateOrder(p, spec, order, first, explicitEpochs, fixedAssign, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestScheduleMatchesDPOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			epochs := int(p.Epochs)
-			res := mustEvaluateOrder(t, p, spec, order, nil, epochs, nil, nil, math.Inf(1))
+			res := mustEvaluateOrder(t, p, spec, order, nil, epochs, nil, nil)
 			wantMk, want1, want2 := refDP(p, spec, order, epochs)
 			if res.TotalCycles != wantMk {
 				t.Fatalf("%s case %d (%s): makespan %v, oracle %v", spec.Name, i, p.Name, res.TotalCycles, wantMk)
@@ -178,7 +178,7 @@ func TestEvaluateExtrapolationBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := mustEvaluateOrder(t, p, spec, order, nil, explicit, nil, nil, math.Inf(1))
+		got := mustEvaluateOrder(t, p, spec, order, nil, explicit, nil, nil)
 		windowMk, _, _ := refDP(p, spec, order, explicit)
 		exactMk, _, _ := refDP(p, spec, order, int(p.Epochs))
 		serial := p.SerialLoadCycles(spec)
@@ -205,7 +205,7 @@ func TestEvaluateExtrapolationExactOnCleanPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mustEvaluateOrder(t, p, spec, order, nil, 12, nil, nil, math.Inf(1))
+	got := mustEvaluateOrder(t, p, spec, order, nil, 12, nil, nil)
 	exactMk, _, _ := refDP(p, spec, order, 400)
 	if rel := math.Abs(got.TotalCycles-exactMk) / exactMk; rel > 0.01 {
 		t.Errorf("extrapolated makespan %v vs exact %v (%.2f%% off)", got.TotalCycles, exactMk, rel*100)

@@ -9,8 +9,9 @@ import (
 )
 
 // This file keeps the map-based Eq. 43–46 DP that preceded the compiled
-// form (compiled.go), unchanged but for the ref prefix on its names, as the
-// reference the compiled DP must match bit for bit (see
+// form (compiled.go), unchanged but for the ref prefix on its names and the
+// removal of its warm-start bound, as the reference the compiled DP must
+// match bit for bit (see
 // TestCompiledDPMatchesReference). It looks every op up by name and calls
 // OpSpec.Cycles per DP cell, which is exactly what the compiled form
 // removes.
@@ -22,13 +23,7 @@ import (
 // yields plain epoch-major sequencing. When fixedAssign is non-nil each op
 // is pinned to its assigned array; otherwise the DP chooses per Eq. 45.
 // cells, when non-nil, counts DP instance placements.
-//
-// bound, when finite, is a warm-start incumbent total: the sweeps abort
-// with +Inf as soon as a sound lower bound of this candidate's final
-// extrapolated total exceeds it (see refSweepBound). An infinite bound runs
-// the exact historical cold path — same sweeps, same order, same upfront
-// cell accounting.
-func refEvaluate(p *Problem, spec arch.Spec, order []string, first map[string]bool, explicitEpochs int, fixedAssign map[string]perf.ArrayKind, cells *obs.Counter, bound float64) Result {
+func refEvaluate(p *Problem, spec arch.Spec, order []string, first map[string]bool, explicitEpochs int, fixedAssign map[string]perf.ArrayKind, cells *obs.Counter) Result {
 	k := explicitEpochs
 	if int64(k) > p.Epochs {
 		k = int(p.Epochs)
@@ -36,16 +31,10 @@ func refEvaluate(p *Problem, spec arch.Spec, order []string, first map[string]bo
 	if k < 1 {
 		k = 1
 	}
-	warm := !math.IsInf(bound, 1)
 
 	if int64(k) >= p.Epochs {
-		// All epochs explicit: the makespan is the total, so the incumbent
-		// bounds the sweep directly (scale 0 = no extrapolation term).
-		var sb *refSweepBound
-		if warm {
-			sb = &refSweepBound{limit: bound}
-		}
-		mkAll, busyAll, assign := refSchedule(p, spec, refBuildSequence(order, first, k), fixedAssign, cells, sb)
+		// All epochs explicit: the makespan is the total.
+		mkAll, busyAll, assign := refSchedule(p, spec, refBuildSequence(order, first, k), fixedAssign, cells)
 		return Result{
 			TotalCycles: mkAll,
 			Busy1D:      busyAll[perf.PE1D],
@@ -64,59 +53,8 @@ func refEvaluate(p *Problem, spec arch.Spec, order []string, first map[string]bo
 	span := float64(k - base)
 	rest := float64(p.Epochs - int64(k))
 
-	if !warm {
-		mkAll, busyAll, assign := refSchedule(p, spec, refBuildSequence(order, first, k), fixedAssign, cells, nil)
-		mkBase, busyBase, _ := refSchedule(p, spec, refBuildSequence(order, first, base), fixedAssign, cells, nil)
-		deltaMk := (mkAll - mkBase) / span
-		delta1 := (busyAll[perf.PE1D] - busyBase[perf.PE1D]) / span
-		delta2 := (busyAll[perf.PE2D] - busyBase[perf.PE2D]) / span
-		return Result{
-			TotalCycles: mkAll + deltaMk*rest,
-			Busy1D:      busyAll[perf.PE1D] + delta1*rest,
-			Busy2D:      busyAll[perf.PE2D] + delta2*rest,
-			Assignment:  assign,
-		}
-	}
-
-	if len(first) == 0 {
-		// Epoch-major sequences nest: the base window is a strict prefix of
-		// the full sequence and the DP is a deterministic left-to-right
-		// recurrence, so one bounded sweep with a checkpoint at the base
-		// boundary recovers bit-identical (mkBase, busyBase) values to the
-		// cold path's separate base sweep — at two thirds of its cells, plus
-		// whatever the bound aborts.
-		sb := &refSweepBound{limit: bound, scale: rest / span, checkpoint: base * len(order)}
-		mkAll, busyAll, assign := refSchedule(p, spec, refBuildSequence(order, nil, k), fixedAssign, cells, sb)
-		if math.IsInf(mkAll, 1) {
-			return Result{TotalCycles: math.Inf(1), Busy1D: busyAll[perf.PE1D], Busy2D: busyAll[perf.PE2D], Assignment: assign}
-		}
-		deltaMk := (mkAll - sb.ckMk) / span
-		delta1 := (busyAll[perf.PE1D] - sb.ckBusy1) / span
-		delta2 := (busyAll[perf.PE2D] - sb.ckBusy2) / span
-		return Result{
-			TotalCycles: mkAll + deltaMk*rest,
-			Busy1D:      busyAll[perf.PE1D] + delta1*rest,
-			Busy2D:      busyAll[perf.PE2D] + delta2*rest,
-			Assignment:  assign,
-		}
-	}
-
-	// Bipartition sequences do not nest (the base window interleaves
-	// differently), and greedy list-scheduling anomalies mean mkAll >= mkBase
-	// is unproven — so the base sweep runs unbounded, exactly as cold, and
-	// only the full sweep gets the slope-aware bound seeded with the exact
-	// mkBase.
-	mkBase, busyBase, _ := refSchedule(p, spec, refBuildSequence(order, first, base), fixedAssign, cells, nil)
-	if math.IsInf(mkBase, 1) {
-		// The order violates a dependency; the full sweep would be +Inf too.
-		// Return a clean +Inf rather than extrapolating Inf-Inf into NaN.
-		return Result{TotalCycles: math.Inf(1), Busy1D: busyBase[perf.PE1D], Busy2D: busyBase[perf.PE2D]}
-	}
-	sb := &refSweepBound{limit: bound, mkBase: mkBase, scale: rest / span}
-	mkAll, busyAll, assign := refSchedule(p, spec, refBuildSequence(order, first, k), fixedAssign, cells, sb)
-	if math.IsInf(mkAll, 1) {
-		return Result{TotalCycles: math.Inf(1), Busy1D: busyAll[perf.PE1D], Busy2D: busyAll[perf.PE2D], Assignment: assign}
-	}
+	mkAll, busyAll, assign := refSchedule(p, spec, refBuildSequence(order, first, k), fixedAssign, cells)
+	mkBase, busyBase, _ := refSchedule(p, spec, refBuildSequence(order, first, base), fixedAssign, cells)
 	deltaMk := (mkAll - mkBase) / span
 	delta1 := (busyAll[perf.PE1D] - busyBase[perf.PE1D]) / span
 	delta2 := (busyAll[perf.PE2D] - busyBase[perf.PE2D]) / span
@@ -126,36 +64,6 @@ func refEvaluate(p *Problem, spec arch.Spec, order []string, first map[string]bo
 		Busy2D:      busyAll[perf.PE2D] + delta2*rest,
 		Assignment:  assign,
 	}
-}
-
-// refSweepBound arms one schedule sweep with a warm-start abort: the sweep
-// stops, returning +Inf, as soon as lb(m) > limit, where m is the monotone
-// prefix makespan and lb is a provable lower bound of the candidate's final
-// extrapolated total. Soundness:
-//
-//   - Before the checkpoint of a nesting (epoch-major) sweep, and whenever
-//     no extrapolation applies (scale 0), lb = m: the final makespan is at
-//     least any prefix makespan, and the extrapolated total adds a
-//     non-negative term.
-//   - Past the checkpoint (or with mkBase supplied), lb = f(m) =
-//     m + (m-mkBase)*scale. f is increasing in m (scale >= 0) and the final
-//     total equals f(final makespan) with final makespan >= m, so
-//     f(m) <= total.
-//
-// Because the limit carries a relative slack, a candidate whose exact total
-// ties the incumbent is never aborted by rounding in f — warm pruning only
-// removes candidates that are strictly worse than the hinted incumbent.
-type refSweepBound struct {
-	limit  float64 // abort threshold (the hinted incumbent total, plus slack)
-	mkBase float64 // base-window makespan for the extrapolated bound (bipartition sweeps)
-	scale  float64 // rest/span extrapolation factor; 0 disables the slope term
-	// checkpoint, when positive, is the instance index ending the base
-	// window of a nesting sweep; the DP state there is recorded below and
-	// stands in for the cold path's separate base sweep.
-	checkpoint int
-	ckMk       float64
-	ckBusy1    float64
-	ckBusy2    float64
 }
 
 // refBuildSequence constructs the global instance processing sequence for the
@@ -197,25 +105,18 @@ func refBuildSequence(order []string, first map[string]bool, epochs int) []insta
 // Eq. 44 adds the op latency per array, Eq. 45 selects the earliest
 // completion, and Eq. 46 commits the chosen array's timeline. Returns the
 // makespan, per-array busy cycles, and the last epoch's array assignment.
-// cells is credited with one increment per instance placed (nil-safe; on a
-// cold sweep a single upfront Add covering the whole sequence, so the inner
-// loop stays allocation-free; on a bounded sweep the instances actually
-// placed, credited when the sweep ends or aborts).
-//
-// sb, when non-nil, arms the warm-start abort (see refSweepBound): the sweep
-// returns +Inf as soon as the candidate provably cannot beat sb.limit. A
-// nil sb is the exact historical sweep.
-func refSchedule(p *Problem, spec arch.Spec, seq []instance, fixedAssign map[string]perf.ArrayKind, cells *obs.Counter, sb *refSweepBound) (float64, map[perf.ArrayKind]float64, map[string]perf.ArrayKind) {
-	if sb == nil {
-		cells.Add(int64(len(seq)))
-	}
+// cells is credited with one increment per instance in seq (nil-safe; a
+// single upfront Add covering the whole sequence, so the inner loop stays
+// allocation-free).
+func refSchedule(p *Problem, spec arch.Spec, seq []instance, fixedAssign map[string]perf.ArrayKind, cells *obs.Counter) (float64, map[perf.ArrayKind]float64, map[string]perf.ArrayKind) {
+	cells.Add(int64(len(seq)))
 	timeline := map[perf.ArrayKind]float64{perf.PE2D: 0, perf.PE1D: 0}
 	busy := map[perf.ArrayKind]float64{perf.PE2D: 0, perf.PE1D: 0}
 	endT := make(map[instance]float64, len(seq))
 	assign := make(map[string]perf.ArrayKind, len(p.Ops))
 	makespan := 0.0
 
-	for i, inst := range seq {
+	for _, inst := range seq {
 		name, epoch := inst.name, inst.epoch
 		op := p.Ops[name]
 		// Latest dependency completion: intra-epoch predecessors plus
@@ -228,9 +129,6 @@ func refSchedule(p *Problem, spec arch.Spec, seq []instance, fixedAssign map[str
 		for _, pred := range p.Deps.Pred(name) {
 			e, ok := endT[instance{pred, epoch}]
 			if !ok {
-				if sb != nil {
-					cells.Add(int64(i + 1))
-				}
 				return math.Inf(1), busy, assign
 			}
 			if e > depEnd {
@@ -244,9 +142,6 @@ func refSchedule(p *Problem, spec arch.Spec, seq []instance, fixedAssign map[str
 				}
 				e, ok := endT[instance{se.From, epoch - 1}]
 				if !ok {
-					if sb != nil {
-						cells.Add(int64(i + 1))
-					}
 					return math.Inf(1), busy, assign
 				}
 				if e > depEnd {
@@ -277,31 +172,6 @@ func refSchedule(p *Problem, spec arch.Spec, seq []instance, fixedAssign map[str
 		if bestEnd > makespan {
 			makespan = bestEnd
 		}
-
-		if sb != nil {
-			if i+1 == sb.checkpoint {
-				sb.ckMk = makespan
-				sb.ckBusy1 = busy[perf.PE1D]
-				sb.ckBusy2 = busy[perf.PE2D]
-			}
-			// Lower-bound the final extrapolated total (see refSweepBound's
-			// soundness note) and abort once it clears the incumbent.
-			lb := makespan
-			if sb.scale > 0 && (sb.checkpoint == 0 || i+1 > sb.checkpoint) {
-				mb := sb.mkBase
-				if sb.checkpoint > 0 {
-					mb = sb.ckMk
-				}
-				lb = makespan + (makespan-mb)*sb.scale
-			}
-			if lb > sb.limit {
-				cells.Add(int64(i + 1))
-				return math.Inf(1), busy, assign
-			}
-		}
-	}
-	if sb != nil {
-		cells.Add(int64(len(seq)))
 	}
 	return makespan, busy, assign
 }

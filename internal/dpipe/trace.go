@@ -59,7 +59,7 @@ func TraceSchedule(p *Problem, spec arch.Spec, order []string, first map[string]
 	var s scratch
 	s.seq = sequence(nil, ord, c.firstSet(first), epochs)
 	rec := &recorder{entries: make([]TraceEntry, 0, len(s.seq))}
-	makespan, _ := c.sweep(&s, s.seq, epochs, nil, nil, nil, rec)
+	makespan, _ := c.sweep(&s, s.seq, epochs, nil, nil, rec)
 	if rec.err != nil {
 		return nil, rec.err
 	}

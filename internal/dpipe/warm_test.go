@@ -14,6 +14,13 @@ import (
 // before, and returns the result plus the dpipe.dp_cells it spent.
 func planCells(t *testing.T, p *Problem, opts Options) (Result, int64) {
 	t.Helper()
+	res, reg := planRegistry(t, p, opts)
+	return res, reg.Counter("dpipe.dp_cells").Value()
+}
+
+// planRegistry is planCells returning the plan's whole registry.
+func planRegistry(t *testing.T, p *Problem, opts Options) (Result, *obs.Registry) {
+	t.Helper()
 	ResetFronts()
 	reg := obs.NewRegistry()
 	ctx := obs.WithMetrics(context.Background(), reg)
@@ -21,74 +28,94 @@ func planCells(t *testing.T, p *Problem, opts Options) (Result, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, reg.Counter("dpipe.dp_cells").Value()
+	return res, reg
 }
 
-// A valid hint must leave the winning schedule bit-identical to a cold plan
-// while its incumbent bound prunes DP work — and the pruned cell count must
-// be identical at every Parallelism (the bound is fixed before the fan-out).
-func TestWarmHintPrunesWithoutChangingWinner(t *testing.T) {
-	p := mhaProblem(t, 16)
-	cold, coldCells := planCells(t, p, DefaultOptions())
-
-	warmOpts := DefaultOptions()
-	warmOpts.WarmHints = []Hint{{Order: cold.Order, First: cold.Bipartition.FirstSorted()}}
-	warm, warmCells := planCells(t, p, warmOpts)
-
-	if !reflect.DeepEqual(warm, cold) {
-		t.Fatalf("warm winner diverged from cold:\nwarm %+v\ncold %+v", warm, cold)
-	}
-	if warmCells >= coldCells {
-		t.Fatalf("warm plan spent %d DP cells, cold %d — the hint bound never pruned", warmCells, coldCells)
-	}
-	for _, par := range []int{1, 4} {
-		opts := warmOpts
-		opts.Parallelism = par
-		res, cells := planCells(t, p, opts)
-		if !reflect.DeepEqual(res, cold) {
-			t.Fatalf("parallelism %d: warm winner diverged from cold", par)
-		}
-		if cells != warmCells {
-			t.Fatalf("parallelism %d: dp_cells %d != %d — warm pruning is nondeterministic across worker counts",
-				par, cells, warmCells)
-		}
-	}
-}
-
-// An unpartitioned hint (empty First) exercises the checkpointed single-sweep
-// regime; the bound it sets is the canonical order's own total, which still
-// prunes worse interleavings without touching the winner.
-func TestWarmHintUnpartitionedRegime(t *testing.T) {
-	p := mhaProblem(t, 16)
-	canonical, err := p.Deps.TopoSort()
+// A hint the enumeration holds is only a duplicate candidate: the warm plan
+// is the cold plan, Result and DP cells alike, at every Parallelism, and the
+// hint is seen — dedup_skipped fires once — even under zero-value Options,
+// which take the default bounds but keep every caller-set field. The rows
+// cover the three ways a candidate is swept: a bipartition (two sweeps), an
+// unpartitioned order (two epoch-major sweeps) and an epoch count inside
+// the explicit window (one sweep, no extrapolation).
+func TestWarmHintMatchesCold(t *testing.T) {
+	mha16 := mhaProblem(t, 16)
+	canonical, err := mha16.Deps.TopoSort()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, coldCells := planCells(t, p, DefaultOptions())
-	opts := DefaultOptions()
-	opts.WarmHints = []Hint{{Order: canonical}}
-	warm, warmCells := planCells(t, p, opts)
-	if !reflect.DeepEqual(warm, cold) {
-		t.Fatalf("unpartitioned hint changed the winner:\nwarm %+v\ncold %+v", warm, cold)
-	}
-	if warmCells >= coldCells {
-		t.Fatalf("unpartitioned hint never pruned: %d cells warm, %d cold", warmCells, coldCells)
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+		// hint builds the hint from the cold plan's winner.
+		hint func(cold Result) Hint
+		// partitioned is whether the hint carries a bipartition.
+		partitioned bool
+	}{
+		{"bipartition", mha16, func(cold Result) Hint { return hintOf(cold)[0] }, true},
+		{"unpartitioned", mha16, func(Result) Hint { return Hint{Order: canonical} }, false},
+		{"single-sweep", mhaProblem(t, 4), func(cold Result) Hint { return hintOf(cold)[0] }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cold, coldCells := planCells(t, tc.p, DefaultOptions())
+			h := tc.hint(cold)
+			if (len(h.First) > 0) != tc.partitioned {
+				t.Fatalf("hint %+v: partitioned = %v, want %v", h, len(h.First) > 0, tc.partitioned)
+			}
+			for _, par := range []int{0, 1, 4} {
+				opts := DefaultOptions()
+				opts.Parallelism = par
+				opts.WarmHints = []Hint{h}
+				warm, reg := planRegistry(t, tc.p, opts)
+				if !reflect.DeepEqual(warm, cold) {
+					t.Fatalf("parallelism %d: warm plan diverged from cold:\nwarm %+v\ncold %+v", par, warm, cold)
+				}
+				if cells := reg.Counter("dpipe.dp_cells").Value(); cells != coldCells {
+					t.Fatalf("parallelism %d: warm plan spent %d DP cells, cold %d", par, cells, coldCells)
+				}
+			}
+			warm, reg := planRegistry(t, tc.p, Options{WarmHints: []Hint{h}})
+			if !reflect.DeepEqual(warm, cold) {
+				t.Fatalf("zero-value options: warm plan diverged from cold:\nwarm %+v\ncold %+v", warm, cold)
+			}
+			if d := reg.Counter("dpipe.dedup_skipped").Value(); d != 1 {
+				t.Fatalf("zero-value options: dedup_skipped = %d, want 1 — the hint was dropped", d)
+			}
+		})
 	}
 }
 
-// When the epoch count fits inside the explicit DP window there is no
-// extrapolation tail; the hint bound applies to the single exact sweep.
-func TestWarmHintSingleSweepRegime(t *testing.T) {
-	p := mhaProblem(t, 4)
-	cold, coldCells := planCells(t, p, DefaultOptions())
-	opts := DefaultOptions()
-	opts.WarmHints = []Hint{{Order: cold.Order, First: cold.Bipartition.FirstSorted()}}
-	warm, warmCells := planCells(t, p, opts)
-	if !reflect.DeepEqual(warm, cold) {
-		t.Fatalf("warm winner diverged in the single-sweep regime")
+// A valid hint the enumeration lacks joins the candidates: the plan sweeps
+// it on top of the cold plan's sweeps and wins with it when it is better.
+func TestWarmHintOutsideEnumerationIsSwept(t *testing.T) {
+	p := mhaProblem(t, 16)
+	full, _ := planCells(t, p, DefaultOptions())
+	narrow := Options{MaxBipartitions: 1, MaxOrdersPerPartition: 1, ExplicitEpochs: 12, Parallelism: 1}
+	cold, coldCells := planCells(t, p, narrow)
+	h := hintOf(full)[0]
+	hintCells := obs.NewRegistry().Counter("dpipe.dp_cells")
+	alone, err := evaluateOrder(p, arch.Cloud(), h.Order, full.Bipartition.First, narrow.ExplicitEpochs, nil, hintCells)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if warmCells >= coldCells {
-		t.Fatalf("single-sweep regime never pruned: %d cells warm, %d cold", warmCells, coldCells)
+	if !(alone.TotalCycles < cold.TotalCycles) {
+		t.Fatalf("premise: the full enumeration's winner (%v) does not beat the narrow one (%v)", alone.TotalCycles, cold.TotalCycles)
+	}
+
+	opts := narrow
+	opts.WarmHints = []Hint{h}
+	warm, reg := planRegistry(t, p, opts)
+	if d := reg.Counter("dpipe.dedup_skipped").Value(); d != 0 {
+		t.Fatalf("premise: the narrow enumeration holds the hint (dedup_skipped = %d)", d)
+	}
+	if warm.Candidates != cold.Candidates+1 {
+		t.Fatalf("warm plan chose among %d candidates, cold %d: the hint did not join", warm.Candidates, cold.Candidates)
+	}
+	if cells := reg.Counter("dpipe.dp_cells").Value(); cells != coldCells+hintCells.Value() {
+		t.Fatalf("warm plan spent %d DP cells, want cold %d + hint %d", cells, coldCells, hintCells.Value())
+	}
+	if !sameFloat(warm.TotalCycles, alone.TotalCycles) || !reflect.DeepEqual(warm.Order, h.Order) {
+		t.Fatalf("warm plan %v %v, want the hint's %v %v", warm.TotalCycles, warm.Order, alone.TotalCycles, h.Order)
 	}
 }
 
@@ -114,20 +141,5 @@ func TestInvalidWarmHintIsIgnored(t *testing.T) {
 		if cells != coldCells {
 			t.Fatalf("%s: invalid hint changed DP cell spend (%d vs cold %d)", name, cells, coldCells)
 		}
-	}
-}
-
-// Zero-value Options take the default bounds but keep every caller-set
-// field: a warm hint given without explicit caps still prunes, and the
-// winner is the cold one.
-func TestWarmHintKeptUnderZeroOptions(t *testing.T) {
-	p := mhaProblem(t, 16)
-	cold, coldCells := planCells(t, p, Options{})
-	warm, warmCells := planCells(t, p, Options{WarmHints: []Hint{{Order: cold.Order, First: cold.Bipartition.FirstSorted()}}})
-	if !reflect.DeepEqual(warm, cold) {
-		t.Fatalf("warm winner diverged from cold:\nwarm %+v\ncold %+v", warm, cold)
-	}
-	if warmCells >= coldCells {
-		t.Fatalf("zero-value options with a hint spent %d DP cells, cold %d — the hint was dropped", warmCells, coldCells)
 	}
 }

@@ -81,11 +81,11 @@ type Options struct {
 	// plan for a neighbouring workload: Tile warm-starts TileSeek's MCTS
 	// (pre-expanding and crediting the hinted path so its objective becomes
 	// the incumbent) and each Layers entry warm-starts the matching
-	// sub-layer's DPipe enumeration (hinted candidates go to the head of the
-	// frontier and their makespan prunes the fan-out). Hints are advisory:
-	// entries that do not validate against the current space or DAG are
-	// ignored, a warm evaluation is deterministic given the hint, and its
-	// objective is never worse than the hint's own. A valid hint also shrinks
+	// sub-layer's DPipe enumeration (a hinted candidate the enumeration lacks
+	// joins its candidates). Hints are advisory: entries that do not
+	// validate against the current space or DAG are ignored, a warm
+	// evaluation is deterministic given the hint, and its objective is never
+	// worse than the hint's own. A valid hint also shrinks
 	// the TileSeek rollout budget (see warmBudgetDivisor) — the incumbent
 	// replaces most of the exploration a cold search pays for. With WarmHint
 	// nil the evaluation is bit-identical to today's cold path.

@@ -118,8 +118,8 @@ type LayerPlan struct {
 // WarmHint seeds the searches from a previously winning plan for a
 // neighbouring workload: Tile warm-starts TileSeek (on a reduced rollout
 // budget, with the hint consumed as the incumbent), Layers warm-starts each
-// sub-layer's DPipe enumeration (hinted candidates lead the frontier and
-// their makespan prunes the fan-out without changing the winner). Invalid or
+// sub-layer's DPipe enumeration (a hinted candidate the enumeration lacks
+// joins it, so the winner is never worse than the hint). Invalid or
 // foreign entries are ignored, a warm evaluation is deterministic given the
 // hint, and its objective is never worse than the hint's own.
 type WarmHint struct {
