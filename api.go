@@ -78,15 +78,9 @@ type RunSpec struct {
 	// Progress, when set, receives typed progress events (RolloutDoneEvent,
 	// PhaseStartEvent/PhaseEndEvent, EnumerationProgressEvent,
 	// DegradedEvent) synchronously from the evaluating goroutine. It must be
-	// fast and must not block; leave nil for zero overhead. When Parallelism
-	// exceeds 1, events may arrive from multiple goroutines (the engine
-	// serialises the calls for you).
+	// fast and must not block; leave nil for zero overhead.
 	Progress ProgressFunc
-	// Parallelism bounds how many goroutines the evaluation runs at once. 0
-	// selects GOMAXPROCS; 1 forces the serial path. The tile search is
-	// serial; each evaluation of a tile inside it, and of the winner,
-	// schedules its sub-layers concurrently and gives any remaining budget
-	// to DPipe's candidate pool. Results are bit-identical at every setting.
+	// Deprecated: ignored; evaluation is serial.
 	Parallelism int
 	// WarmHint, when non-nil, warm-starts the searches from a previously
 	// winning plan — typically the stored result for the nearest sequence
@@ -236,8 +230,6 @@ func (s RunSpec) validate() error {
 		return faults.Invalidf("transfusion: batch %d exceeds maximum %d", s.Batch, MaxBatch)
 	case s.SearchBudget < 0:
 		return faults.Invalidf("transfusion: negative search budget %d (0 selects the default)", s.SearchBudget)
-	case s.Parallelism < 0:
-		return faults.Invalidf("transfusion: negative parallelism %d (0 selects GOMAXPROCS)", s.Parallelism)
 	default:
 		return nil
 	}
@@ -251,12 +243,11 @@ func (s RunSpec) validate() error {
 // becomes the evaluation default; SearchBudget <= 0 the default rollout
 // budget, matching resolve, which only overrides the budget when positive),
 // so a spec that spells the default explicitly keys identically to one that
-// leaves it zero. Progress and Parallelism are deliberately excluded: hooks
-// do not change the result, and results are bit-identical at every
-// parallelism setting. WarmHint is excluded too: a warm-started result is a
-// full-fidelity answer for the spec — deterministic given the hint and never
-// worse than the hint's objective — so it may be cached and persisted under
-// the spec's key.
+// leaves it zero. Progress and the ignored Parallelism are deliberately
+// excluded: neither changes the result. WarmHint is excluded too: a
+// warm-started result is a full-fidelity answer for the spec — deterministic
+// given the hint and never worse than the hint's objective — so it may be
+// cached and persisted under the spec's key.
 func (s RunSpec) CanonicalKey() string {
 	batch := s.Batch
 	if batch == 0 {
@@ -461,7 +452,6 @@ func (s RunSpec) resolve() (arch.Spec, model.Config, pipeline.System, pipeline.O
 		opts.TileSeekTimeout = s.SearchTimeout
 	}
 	opts.Progress = s.Progress
-	opts.Parallelism = s.Parallelism
 	opts.SkipSearch = s.HeuristicOnly
 	opts.WarmHint = s.WarmHint.toPipeline()
 	return spec, m, sys, opts, batch, nil

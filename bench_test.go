@@ -13,7 +13,6 @@ package transfusion_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"github.com/fusedmindlab/transfusion"
@@ -22,6 +21,7 @@ import (
 	"github.com/fusedmindlab/transfusion/internal/experiments"
 	"github.com/fusedmindlab/transfusion/internal/model"
 	"github.com/fusedmindlab/transfusion/internal/obs"
+	"github.com/fusedmindlab/transfusion/internal/perf"
 	"github.com/fusedmindlab/transfusion/internal/pipeline"
 	"github.com/fusedmindlab/transfusion/internal/tileseek"
 	"github.com/fusedmindlab/transfusion/internal/tiling"
@@ -126,12 +126,12 @@ func benchDPipePlan(b *testing.B, layer string) {
 }
 
 // BenchmarkRunContext runs a fixed list of cold-search specs (two arches,
-// two models, three sequence lengths, search budget 8) through RunContext
-// at Parallelism 1. One op is the whole list from an empty DPipe front
-// cache, so its counts repeat exactly: dp_cells/op, front_hits/op (DPipe
-// plans answered from a front another spec or rollout left) and allocs/op.
+// two models, three sequence lengths, search budget 8) through RunContext.
+// One op is the whole list from an empty DPipe front cache, so its counts
+// repeat exactly: dp_cells/op, front_hits/op (DPipe plans answered from a
+// front another spec or rollout left) and allocs/op.
 func BenchmarkRunContext(b *testing.B) {
-	specs := runContextSpecs(1)
+	specs := runContextSpecs()
 	reg := obs.NewRegistry()
 	ctx := obs.WithMetrics(context.Background(), reg)
 	b.ReportAllocs()
@@ -164,14 +164,13 @@ func benchEvaluate(b *testing.B, archName string) {
 	reportPerOp(b, reg, "dpipe.dp_cells", "dp_cells/op")
 }
 
-// runContextSpecs is BenchmarkRunContext's spec list at the given
-// Parallelism.
-func runContextSpecs(parallelism int) []transfusion.RunSpec {
+// runContextSpecs is BenchmarkRunContext's spec list.
+func runContextSpecs() []transfusion.RunSpec {
 	var specs []transfusion.RunSpec
 	for _, a := range []string{"cloud", "edge"} {
 		for _, m := range []string{"bert", "llama3"} {
 			for _, seq := range []int{1 << 10, 1 << 13, 1 << 15} {
-				specs = append(specs, transfusion.RunSpec{Arch: a, Model: m, SeqLen: seq, System: "transfusion", SearchBudget: 8, Parallelism: parallelism})
+				specs = append(specs, transfusion.RunSpec{Arch: a, Model: m, SeqLen: seq, System: "transfusion", SearchBudget: 8})
 			}
 		}
 	}
@@ -210,37 +209,19 @@ func experimentsEval(ctx context.Context, archName string) (pipeline.Result, err
 	return pipeline.EvaluateContext(ctx, w, spec, pipeline.TransFusion(), benchOpts())
 }
 
-// Parallel evaluation: the tile search is serial, and each objective
-// evaluation spends the Parallelism budget on its sub-layers and DPipe
-// candidate pools. The searched result and the counts are identical at
-// every setting; only the wall-clock changes.
+// Tile search: TileSeek's serial MCTS driving the objective the pipeline
+// uses — a full per-tile evaluation — on the default Llama3-64K workload.
+// evals/op counts objective evaluations run and dp_cells/op the DP cells
+// they filled.
 
-func BenchmarkSearchParallel(b *testing.B) {
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprint(workers), func(b *testing.B) {
-			benchSearchParallel(b, arch.Cloud(), workers)
-		})
-	}
-}
+func BenchmarkSearch(b *testing.B)     { benchSearch(b, arch.Cloud()) }
+func BenchmarkSearchEdge(b *testing.B) { benchSearch(b, arch.Edge()) }
 
-func BenchmarkSearchParallelEdge(b *testing.B) {
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprint(workers), func(b *testing.B) {
-			benchSearchParallel(b, arch.Edge(), workers)
-		})
-	}
-}
-
-// benchSearchParallel drives SearchWithOptions with the objective the
-// pipeline uses — a full per-tile evaluation at the given Parallelism — on
-// the default Llama3-64K workload, and reports evals/op (objective
-// evaluations run) and dp_cells/op.
-func benchSearchParallel(b *testing.B, spec arch.Spec, workers int) {
+func benchSearch(b *testing.B, spec arch.Spec) {
 	b.Helper()
 	w := pipeline.Workload{Model: model.Llama3(), SeqLen: model.SeqLength64K, Batch: model.EvalBatch}
 	space := tileseek.DefaultSpace(w, spec)
 	opts := benchOpts()
-	opts.Parallelism = workers
 	reg := obs.NewRegistry()
 	ctx := obs.WithMetrics(context.Background(), reg)
 	objective := func(c tiling.Config) (float64, bool) {
@@ -265,22 +246,42 @@ func benchSearchParallel(b *testing.B, spec arch.Spec, workers int) {
 	reportPerOp(b, reg, "dpipe.dp_cells", "dp_cells/op")
 }
 
-func BenchmarkPlanParallel(b *testing.B) {
-	probs := buildLlamaProblems(b)
-	prob := probs["mha"]
+// BenchmarkOpCycles times the per-Einsum cost model, the bottom layer of
+// the stack: perf.OpSpec.Cycles on both arrays and perf.OpTraffic with and
+// without in-register fusion, over every op of the Llama3-64K cloud
+// sub-layer problems at the heuristic tile. One op is the whole list;
+// einsums/op is its length.
+func BenchmarkOpCycles(b *testing.B) {
 	spec := cloudSpec()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprint(workers), func(b *testing.B) {
-			opts := dpipe.DefaultOptions()
-			opts.Parallelism = workers
-			for i := 0; i < b.N; i++ {
-				dpipe.ResetFronts()
-				if _, err := dpipe.Plan(prob, spec, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	type entry struct {
+		op    perf.OpSpec
+		fused map[string]bool // the op names of its sub-layer
 	}
+	var entries []entry
+	for _, p := range buildLlamaProblems(b) {
+		fused := make(map[string]bool, len(p.Ops))
+		for name := range p.Ops {
+			fused[name] = true
+		}
+		for _, op := range p.Ops {
+			entries = append(entries, entry{op, fused})
+		}
+	}
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range entries {
+			sink += e.op.Cycles(spec, perf.PE2D) + e.op.Cycles(spec, perf.PE1D)
+			sink += perf.OpTraffic(e.op, spec, perf.PE2D, nil).BufferBytes
+			sink += perf.OpTraffic(e.op, spec, perf.PE2D, e.fused).BufferBytes
+		}
+	}
+	b.StopTimer()
+	if sink <= 0 {
+		b.Fatal("cost model returned no cycles")
+	}
+	b.ReportMetric(float64(len(entries)), "einsums/op")
 }
 
 // Warm-started search: cold vs warm evaluations of the same workload, with

@@ -31,7 +31,7 @@ func fastOpts() Options {
 // both health endpoints.
 func TestClientAgainstRealServer(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := serve.New(serve.Config{Parallelism: 1}, reg, context.Background())
+	s := serve.New(serve.Config{}, reg, context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -37,7 +37,7 @@ func main() {
 func run(ctx context.Context) error {
 	exp := flag.String("exp", "", "experiment ID to run (empty = all)")
 	budget := flag.Int("budget", 0, "TileSeek rollout budget (0 = default)")
-	parallelism := flag.Int("parallelism", 0, "worker-pool size for grid cells, sub-layer scheduling, and DPipe (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
+	parallelism := flag.Int("parallelism", 0, "grid cells evaluated at once (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	format := flag.String("format", "table", "output format: table or csv")
 	logLevel := flag.String("log-level", "warn", "structured log level on stderr: debug, info, warn, error")

@@ -74,7 +74,6 @@ func run() error {
 	cacheEntries := flag.Int("cache-entries", 1024, "plan cache capacity (completed results)")
 	maxSeq := flag.Int("max-seq", transfusion.MaxSeqLen, "largest sequence length accepted over the API")
 	maxBudget := flag.Int("max-budget", 1024, "largest per-request TileSeek rollout budget accepted")
-	parallelism := flag.Int("parallelism", 0, "per-evaluation worker-pool size (0 = GOMAXPROCS; results identical at any setting)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound for in-flight plans")
 	reducedBudget := flag.Int("reduced-budget", 16, "search budget cap under the degradation ladder's middle tier")
 	watchdogTimeout := flag.Duration("watchdog", 0, "wait before the watchdog serves a degraded answer for a stuck evaluation (0 = half the request timeout, negative disables)")
@@ -273,7 +272,6 @@ func run() error {
 		CacheEntries:    *cacheEntries,
 		MaxSeqLen:       *maxSeq,
 		MaxSearchBudget: *maxBudget,
-		Parallelism:     *parallelism,
 		DrainTimeout:    *drainTimeout,
 		ReducedBudget:   *reducedBudget,
 		WatchdogTimeout: *watchdogTimeout,

@@ -9,21 +9,21 @@ import (
 	"github.com/fusedmindlab/transfusion/internal/dpipe"
 )
 
-// The search's counts are a property of the specs, not of the schedule: the
-// BenchmarkRunContext spec list, planned from an empty DPipe front cache,
+// The search's counts are a property of the specs: the BenchmarkRunContext
+// spec list, planned twice, each time from an empty DPipe front cache,
 // evaluates the same tiles, fills the same DP cells and answers the same
-// plans from fronts at Parallelism 1 and 4, with bit-identical results.
-func TestRunContextCountsRepeatAcrossParallelism(t *testing.T) {
+// plans from fronts, with bit-identical results.
+func TestRunContextCountsRepeat(t *testing.T) {
 	if testing.Short() {
-		t.Skip("twelve cold searches per leg")
+		t.Skip("twelve cold searches per run")
 	}
 	counters := []string{"tileseek.evaluated", "tileseek.cache_misses", "dpipe.dp_cells", "dpipe.front_hits", "dpipe.front_misses"}
-	run := func(parallelism int) ([]transfusion.RunResult, map[string]int64) {
+	run := func() ([]transfusion.RunResult, map[string]int64) {
 		dpipe.ResetFronts()
 		reg := transfusion.NewMetrics()
 		ctx := transfusion.WithMetrics(context.Background(), reg)
 		var results []transfusion.RunResult
-		for _, s := range runContextSpecs(parallelism) {
+		for _, s := range runContextSpecs() {
 			res, err := transfusion.RunContext(ctx, s)
 			if err != nil {
 				t.Fatal(err)
@@ -36,18 +36,18 @@ func TestRunContextCountsRepeatAcrossParallelism(t *testing.T) {
 		}
 		return results, counts
 	}
-	serial, serialCounts := run(1)
-	if serialCounts["tileseek.evaluated"] == 0 || serialCounts["dpipe.dp_cells"] == 0 {
-		t.Fatalf("degenerate serial counts %v", serialCounts)
+	first, firstCounts := run()
+	if firstCounts["tileseek.evaluated"] == 0 || firstCounts["dpipe.dp_cells"] == 0 {
+		t.Fatalf("degenerate counts %v", firstCounts)
 	}
-	par, parCounts := run(4)
-	if !reflect.DeepEqual(parCounts, serialCounts) {
-		t.Fatalf("counts at Parallelism 4 %v, at 1 %v", parCounts, serialCounts)
+	again, againCounts := run()
+	if !reflect.DeepEqual(againCounts, firstCounts) {
+		t.Fatalf("counts on the repeat %v, first %v", againCounts, firstCounts)
 	}
-	for i := range serial {
-		if !reflect.DeepEqual(par[i], serial[i]) {
-			t.Fatalf("spec %d: result at Parallelism 4 differs from 1:\n%+v\nvs\n%+v", i, par[i], serial[i])
+	for i := range first {
+		if !reflect.DeepEqual(again[i], first[i]) {
+			t.Fatalf("spec %d: result on the repeat differs:\n%+v\nvs\n%+v", i, again[i], first[i])
 		}
 	}
-	t.Logf("counts at Parallelism 1 and 4: %v", serialCounts)
+	t.Logf("counts: %v", firstCounts)
 }

@@ -196,19 +196,19 @@ func TestParseGrammar(t *testing.T) {
 
 func TestParseRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
-		"nosite",                   // no '='
-		"x=explode",                // unknown kind
-		"x=latency",                // latency without duration
-		"x=latency:fast",           // bad duration
-		"x=error:arg",              // argument on argless kind
-		"x=error@every=two",        // bad int
-		"x=error@p=1.5",            // probability out of range
-		"x=error@huh=1",            // unknown modifier
-		"x=error;x=panic",          // duplicate site
-		"x=error@every=-1",         // negative schedule
-		"x=latency:-5ms@every=1",   // non-positive latency
-		"x=error@p=0.5@every=bad",  // bad modifier after good
-		"=error",                   // empty site
+		"nosite",                  // no '='
+		"x=explode",               // unknown kind
+		"x=latency",               // latency without duration
+		"x=latency:fast",          // bad duration
+		"x=error:arg",             // argument on argless kind
+		"x=error@every=two",       // bad int
+		"x=error@p=1.5",           // probability out of range
+		"x=error@huh=1",           // unknown modifier
+		"x=error;x=panic",         // duplicate site
+		"x=error@every=-1",        // negative schedule
+		"x=latency:-5ms@every=1",  // non-positive latency
+		"x=error@p=0.5@every=bad", // bad modifier after good
+		"=error",                  // empty site
 	} {
 		if _, err := Parse(spec, 1); err == nil {
 			t.Errorf("Parse(%q) accepted a bad spec", spec)

@@ -164,9 +164,7 @@ func TestCandidateCacheConcurrentShapes(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				opts := DefaultOptions()
-				opts.Parallelism = 2
-				got, err := PlanContext(context.Background(), probs[i], arch.Cloud(), opts)
+				got, err := PlanContext(context.Background(), probs[i], arch.Cloud(), DefaultOptions())
 				if err != nil {
 					errs <- err
 					return

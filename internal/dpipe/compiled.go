@@ -14,7 +14,7 @@ import (
 // computed once here instead of once per DP cell, and every per-instance
 // lookup the DP makes is a slice index rather than a string-keyed map probe.
 // It is built once per PlanContext, Sequential, StaticPipelined and
-// TraceSchedule call and is read-only afterwards, so DPipe workers share it.
+// TraceSchedule call and is read-only afterwards.
 type compiled struct {
 	epochs int64
 	// names are the op names, sorted; op i is names[i].
@@ -146,7 +146,7 @@ func sequence(dst []slot, order []int, first []bool, epochs int) []slot {
 	return dst
 }
 
-// scratch holds one DPipe worker's reusable DP buffers.
+// scratch holds one plan's reusable DP buffers.
 type scratch struct {
 	seq  []slot
 	endT []float64
@@ -314,8 +314,8 @@ func perEpoch(all, base, span float64) float64 { return (all - base) / span }
 // two agree to the bit.
 func extrapolated(all, slope, rest float64) float64 { return all + slope*rest }
 
-// run builds the candidate's sequence over epochs explicit epochs in the
-// worker's scratch and sweeps it.
+// run builds the candidate's sequence over epochs explicit epochs in
+// scratch s and sweeps it.
 func (c *compiled) run(s *scratch, order []int, first []bool, epochs int, cells *obs.Counter, assign []int8) (float64, [2]float64) {
 	s.seq = sequence(s.seq[:0], order, first, epochs)
 	return c.sweep(s, s.seq, epochs, cells, assign, nil)

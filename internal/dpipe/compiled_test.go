@@ -132,7 +132,7 @@ func TestCompiledDPMatchesReference(t *testing.T) {
 // the same winner and dp_cells.
 func TestPlanMatchesReferenceCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	opts := Options{MaxBipartitions: 8, MaxOrdersPerPartition: 4, ExplicitEpochs: 6, Parallelism: 1}
+	opts := Options{MaxBipartitions: 8, MaxOrdersPerPartition: 4, ExplicitEpochs: 6}
 	for i := 0; i < 60; i++ {
 		p := randomProblem(rng, i)
 		p.Epochs = int64(1 + rng.Intn(40))

@@ -26,11 +26,8 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/fusedmindlab/transfusion/internal/arch"
@@ -161,11 +158,7 @@ type Options struct {
 	// matching faults.ErrBudgetExhausted instead of scanning unbounded.
 	// Zero takes the default; negative means unlimited.
 	MaxEnumeration int
-	// Parallelism sets how many goroutines evaluate candidate schedules
-	// concurrently: 0 selects GOMAXPROCS, 1 the serial loop, n > 1 a bounded
-	// worker pool. The winning schedule is identical at every setting: both
-	// paths reduce with the same deterministic (makespan, canonical
-	// candidate key) tie-break.
+	// Deprecated: ignored; evaluation is serial.
 	Parallelism int
 	// Progress, when non-nil, receives an obs.EnumerationProgress event
 	// after the bipartition/ordering enumeration of each plan. Leave nil to
@@ -398,7 +391,7 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 		if !chaosRun {
 			reg.Counter("dpipe.front_misses").Inc()
 		}
-		results, assigns, err := c.evaluateAll(ctx, p.Name, list, opts, cells, reg)
+		results, assigns, err := c.evaluateAll(ctx, p.Name, list, opts.ExplicitEpochs, cells)
 		if err != nil {
 			return Result{}, err
 		}
@@ -436,91 +429,25 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 // evaluateAll runs the DP sweeps of every candidate in list and returns
 // their outcomes with their assignment records (candidate i's is
 // assigns[i*n:(i+1)*n] for n ops; see sweep).
-func (c *compiled) evaluateAll(ctx context.Context, name string, list []candidate, opts Options, cells *obs.Counter, reg *obs.Registry) ([]outcome, []int8, error) {
-	// Fault-injection site, struck once per candidate schedule evaluation on
-	// both the serial and the pooled path; nil (a single branch) when no
-	// injector is attached to ctx.
+func (c *compiled) evaluateAll(ctx context.Context, name string, list []candidate, explicitEpochs int, cells *obs.Counter) ([]outcome, []int8, error) {
+	// Fault-injection site, struck once per candidate schedule evaluation;
+	// nil (a single branch) when no injector is attached to ctx.
 	chaosSite := chaos.SiteFrom(ctx, chaos.SiteDPipeCandidate)
 	n := len(c.names)
 	results := make([]outcome, len(list))
 	// Only the winner's assignment record becomes a map.
 	assigns := make([]int8, len(list)*n)
-	eval := func(s *scratch, i int) {
-		cand := list[i]
-		results[i] = c.evaluate(s, cand.order, cand.first, opts.ExplicitEpochs, cells, assigns[i*n:(i+1)*n])
-	}
-
-	workers := resolveParallelism(opts.Parallelism)
-	if workers > len(list) {
-		workers = len(list)
-	}
-	if workers <= 1 {
-		var serial scratch
-		for i := range list {
-			// Cancellation is checked per candidate schedule: a canceled plan
-			// returns promptly instead of finishing the DP sweep.
-			if ctx.Err() != nil {
-				return nil, nil, faults.Canceled(ctx)
-			}
-			if err := chaosSite.Strike(ctx); err != nil {
-				return nil, nil, fmt.Errorf("dpipe: problem %s: %w", name, err)
-			}
-			eval(&serial, i)
+	var s scratch
+	for i, cand := range list {
+		// Cancellation is checked per candidate schedule: a canceled plan
+		// returns promptly instead of finishing the DP sweep.
+		if ctx.Err() != nil {
+			return nil, nil, faults.Canceled(ctx)
 		}
-		return results, assigns, nil
-	}
-
-	// Fan the candidate evaluations (pure DP sweeps) across a bounded pool.
-	// Each result lands in its candidate's slot, so the reduction sees
-	// exactly what the serial loop would.
-	reg.Gauge("dpipe.parallel_workers").Set(float64(workers))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicMu sync.Mutex
-	var panicVal any
-	var injected error
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicVal == nil {
-						panicVal = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			var s scratch
-			for {
-				i := int(next.Add(1)) - 1
-				// Cancellation is checked per candidate schedule, as on the
-				// serial path.
-				if i >= len(list) || ctx.Err() != nil {
-					return
-				}
-				if err := chaosSite.Strike(ctx); err != nil {
-					panicMu.Lock()
-					if injected == nil {
-						injected = err
-					}
-					panicMu.Unlock()
-					return
-				}
-				eval(&s, i)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-	if ctx.Err() != nil {
-		return nil, nil, faults.Canceled(ctx)
-	}
-	if injected != nil {
-		return nil, nil, fmt.Errorf("dpipe: problem %s: %w", name, injected)
+		if err := chaosSite.Strike(ctx); err != nil {
+			return nil, nil, fmt.Errorf("dpipe: problem %s: %w", name, err)
+		}
+		results[i] = c.evaluate(&s, cand.order, cand.first, explicitEpochs, cells, assigns[i*n:(i+1)*n])
 	}
 	return results, assigns, nil
 }
@@ -568,9 +495,9 @@ func (c *compiled) planFront(ctx context.Context, list []candidate, nEnum int, f
 }
 
 // argmin is the deterministic reduction over candidate totals: min total,
-// ties broken by the canonical candidate key, so the winner is identical at
-// any worker count and any GOMAXPROCS. i is -1 until a candidate is offered
-// that can win.
+// ties broken by the canonical candidate key, so the winner does not depend
+// on the order candidates are offered in. i is -1 until a candidate is
+// offered that can win.
 type argmin struct {
 	i     int
 	total float64
@@ -723,14 +650,6 @@ func FuseMaxAssignment(p *Problem, spec arch.Spec) map[string]perf.ArrayKind {
 		}
 	}
 	return assign
-}
-
-// resolveParallelism maps an Options.Parallelism value to a worker count.
-func resolveParallelism(p int) int {
-	if p <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return p
 }
 
 // sortedOpNames returns the problem's op names sorted; used by tests and

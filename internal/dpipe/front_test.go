@@ -146,7 +146,7 @@ func recurrenceProblem(epochs int64) *Problem {
 // broken by key.
 func TestFrontHitMatchesMiss(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	opts := Options{MaxBipartitions: 8, MaxOrdersPerPartition: 4, ExplicitEpochs: 6, Parallelism: 1}
+	opts := Options{MaxBipartitions: 8, MaxOrdersPerPartition: 4, ExplicitEpochs: 6}
 	epochs := []int64{1, 3, 6, 7, 12, 97, 4096, 1 << 20}
 	var hits, warmFilledHits, unschedulable, ties int
 	for i := 0; i < 48; i++ {
@@ -260,9 +260,7 @@ func TestFrontConcurrentShapes(t *testing.T) {
 			wg.Add(1)
 			go func(j job) {
 				defer wg.Done()
-				opts := DefaultOptions()
-				opts.Parallelism = 2
-				got, err := PlanContext(context.Background(), j.p, arch.Cloud(), opts)
+				got, err := PlanContext(context.Background(), j.p, arch.Cloud(), DefaultOptions())
 				if err != nil {
 					errs <- err
 					return

@@ -32,7 +32,7 @@ func planRegistry(t *testing.T, p *Problem, opts Options) (Result, *obs.Registry
 }
 
 // A hint the enumeration holds is only a duplicate candidate: the warm plan
-// is the cold plan, Result and DP cells alike, at every Parallelism, and the
+// is the cold plan, Result and DP cells alike, and the
 // hint is seen — dedup_skipped fires once — even under zero-value Options,
 // which take the default bounds but keep every caller-set field. The rows
 // cover the three ways a candidate is swept: a bipartition (two sweeps), an
@@ -62,19 +62,16 @@ func TestWarmHintMatchesCold(t *testing.T) {
 			if (len(h.First) > 0) != tc.partitioned {
 				t.Fatalf("hint %+v: partitioned = %v, want %v", h, len(h.First) > 0, tc.partitioned)
 			}
-			for _, par := range []int{0, 1, 4} {
-				opts := DefaultOptions()
-				opts.Parallelism = par
-				opts.WarmHints = []Hint{h}
-				warm, reg := planRegistry(t, tc.p, opts)
-				if !reflect.DeepEqual(warm, cold) {
-					t.Fatalf("parallelism %d: warm plan diverged from cold:\nwarm %+v\ncold %+v", par, warm, cold)
-				}
-				if cells := reg.Counter("dpipe.dp_cells").Value(); cells != coldCells {
-					t.Fatalf("parallelism %d: warm plan spent %d DP cells, cold %d", par, cells, coldCells)
-				}
+			opts := DefaultOptions()
+			opts.WarmHints = []Hint{h}
+			warm, reg := planRegistry(t, tc.p, opts)
+			if !reflect.DeepEqual(warm, cold) {
+				t.Fatalf("warm plan diverged from cold:\nwarm %+v\ncold %+v", warm, cold)
 			}
-			warm, reg := planRegistry(t, tc.p, Options{WarmHints: []Hint{h}})
+			if cells := reg.Counter("dpipe.dp_cells").Value(); cells != coldCells {
+				t.Fatalf("warm plan spent %d DP cells, cold %d", cells, coldCells)
+			}
+			warm, reg = planRegistry(t, tc.p, Options{WarmHints: []Hint{h}})
 			if !reflect.DeepEqual(warm, cold) {
 				t.Fatalf("zero-value options: warm plan diverged from cold:\nwarm %+v\ncold %+v", warm, cold)
 			}
@@ -90,7 +87,7 @@ func TestWarmHintMatchesCold(t *testing.T) {
 func TestWarmHintOutsideEnumerationIsSwept(t *testing.T) {
 	p := mhaProblem(t, 16)
 	full, _ := planCells(t, p, DefaultOptions())
-	narrow := Options{MaxBipartitions: 1, MaxOrdersPerPartition: 1, ExplicitEpochs: 12, Parallelism: 1}
+	narrow := Options{MaxBipartitions: 1, MaxOrdersPerPartition: 1, ExplicitEpochs: 12}
 	cold, coldCells := planCells(t, p, narrow)
 	h := hintOf(full)[0]
 	hintCells := obs.NewRegistry().Counter("dpipe.dp_cells")

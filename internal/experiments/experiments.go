@@ -153,8 +153,8 @@ func resolveParallelism(p int) int {
 // Prefetch evaluates independent grid cells concurrently (bounded by
 // Opts.Parallelism; 0 selects GOMAXPROCS) and fills the Runner's cache, so
 // the experiment's own sequential loop then assembles its table from hits.
-// Each cell runs with inner parallelism 1 — the cell pool is the
-// parallelism — and results are bit-identical to lazy serial evaluation.
+// Each cell evaluates serially on its worker, so results are bit-identical
+// to lazy serial evaluation.
 // Cancellation of the Runner's context stops the pool between cells; cell
 // errors do not abort the remaining cells (degraded evaluations are not
 // errors at all), and the first error in cell order — the same error the
@@ -170,9 +170,6 @@ func (r *Runner) Prefetch(cells []Cell) error {
 	if workers <= 1 {
 		return nil
 	}
-	cellOpts := r.Opts
-	cellOpts.Parallelism = 1
-	cellOpts.DPipe.Parallelism = 1
 	errs := make([]error, len(cells))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -198,7 +195,7 @@ func (r *Runner) Prefetch(cells []Cell) error {
 				}
 				cell := cells[i]
 				inflightG.Add(1)
-				_, err := r.eval(cell.Spec, cell.Model, cell.Seq, cell.Sys, cellOpts)
+				_, err := r.eval(cell.Spec, cell.Model, cell.Seq, cell.Sys, r.Opts)
 				inflightG.Add(-1)
 				if err != nil {
 					errs[i] = err

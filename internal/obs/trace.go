@@ -207,9 +207,9 @@ func (s *Span) SpanID() string {
 	return fmt.Sprintf("%016x", s.id)
 }
 
-// Trace is one request's span tree. Spans may be appended concurrently (the
-// pipeline schedules sub-layers in parallel; async store fills outlive the
-// request) — all mutation is serialised on mu.
+// Trace is one request's span tree. Spans may be appended concurrently
+// (async store fills outlive the request) — all mutation is serialised on
+// mu.
 type Trace struct {
 	id         string // W3C trace-id, 32 hex chars
 	name       string

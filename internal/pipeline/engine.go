@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/fusedmindlab/transfusion/internal/arch"
@@ -90,21 +87,15 @@ type Options struct {
 	// replaces most of the exploration a cold search pays for. With WarmHint
 	// nil the evaluation is bit-identical to today's cold path.
 	WarmHint *WarmHint
-	// Parallelism bounds how many goroutines one evaluation runs at once: 0
-	// selects GOMAXPROCS, 1 the fully serial path. The tile search itself is
-	// serial; every evaluation of a tile — each rollout's and the winner's —
-	// schedules its sub-layers on min(Parallelism, sub-layers) workers, and
-	// unless DPipe.Parallelism is set explicitly each sub-layer's DPipe
-	// candidate pool gets max(1, Parallelism / sub-layer workers), so the
-	// two pools never multiply past the budget. Results are bit-identical at
-	// every setting for a fixed seed.
+	// Parallelism is not read by the evaluation, which always runs on its
+	// caller's goroutine. The experiment harness reads it as the width of
+	// its grid-cell pool (experiments.Runner.Prefetch): 0 selects
+	// GOMAXPROCS, 1 the serial path.
 	Parallelism int
 	// Progress, when non-nil, receives typed obs events during evaluation:
 	// PhaseStart/PhaseEnd around the tile search, per-rollout RolloutDone,
-	// per-plan EnumerationProgress, and Degraded on heuristic fallback. With
-	// Parallelism above 1 the hook may be invoked from worker goroutines;
-	// invocations are serialised by the engine, so the hook itself needs no
-	// locking.
+	// per-plan EnumerationProgress, and Degraded on heuristic fallback. The
+	// hook runs on the caller's goroutine.
 	Progress obs.ProgressFunc
 }
 
@@ -139,47 +130,9 @@ func (o Options) withDefaults() Options {
 		o.TileSeekSeed = d.TileSeekSeed
 	}
 	if o.DPipe.MaxBipartitions <= 0 {
-		par := o.DPipe.Parallelism
 		o.DPipe = d.DPipe
-		o.DPipe.Parallelism = par
 	}
 	return o
-}
-
-// workers splits the Parallelism budget of one evaluation over n sub-layer
-// problems: sub-layer workers, and the candidate pool each DPipe plan gets
-// (DPipe.Parallelism when set explicitly). Their product never exceeds the
-// budget unless DPipe was pinned above it.
-func (o Options) workers(n int) (sub, dp int) {
-	p := resolveParallelism(o.Parallelism)
-	sub = max(1, min(p, n))
-	dp = o.DPipe.Parallelism
-	if dp == 0 {
-		dp = max(1, p/sub)
-	}
-	return sub, dp
-}
-
-// resolveParallelism maps an Options.Parallelism value to a worker count.
-func resolveParallelism(p int) int {
-	if p <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return p
-}
-
-// serializeProgress wraps a progress hook so concurrent emitters appear
-// sequential to it; nil stays nil (and free).
-func serializeProgress(fn obs.ProgressFunc) obs.ProgressFunc {
-	if fn == nil {
-		return nil
-	}
-	var mu sync.Mutex
-	return func(ev obs.Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		fn(ev)
-	}
 }
 
 // Evaluate models the system on the workload and architecture, selecting
@@ -215,11 +168,6 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 	reg := obs.MetricsFrom(ctx)
 	reg.Counter("pipeline.evaluations").Inc()
 	lg := obs.LoggerFrom(ctx)
-	if resolveParallelism(opts.Parallelism) > 1 {
-		// Workers may emit progress events concurrently; callers' hooks must
-		// keep seeing sequential invocations.
-		opts.Progress = serializeProgress(opts.Progress)
-	}
 	if opts.DPipe.Progress == nil {
 		opts.DPipe.Progress = opts.Progress
 	}
@@ -259,8 +207,6 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 	// The search reward follows opts.TileSeekObjective; the default EDP
 	// breaks latency ties on compute-bound workloads in favour of less
 	// traffic, matching the paper's energy/latency reward options.
-	// The search is serial, so each objective evaluation gets the whole
-	// Parallelism budget (see Options.Parallelism).
 	//
 	// The objective runs once per rollout — hundreds of times per request —
 	// so it evaluates under a detached trace context: a span per rollout
@@ -454,12 +400,8 @@ func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys Syste
 		return Result{}, err
 	}
 
-	// Schedule every sub-layer problem — concurrently when the parallelism
-	// budget allows (the five problems are independent), with the rest of
-	// the budget going to each DPipe candidate pool (see Options.workers).
-	// Results are keyed by name, and scheduling errors are reported for the
-	// lexicographically smallest failing sub-layer, so outputs and errors are
-	// deterministic at any worker count.
+	// Schedule every sub-layer problem in name order, so a scheduling error
+	// always names the lexicographically smallest failing sub-layer.
 	type schedOut struct {
 		res dpipe.Result
 		lp  layerProblem
@@ -474,14 +416,9 @@ func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys Syste
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	workers, dpWorkers := opts.workers(len(names))
-	opts.DPipe.Parallelism = dpWorkers
 	schedOne := func(name string) (res dpipe.Result, err error) {
 		lp := probs[name]
-		// One span per sub-layer schedule. With workers > 1 these run on
-		// worker goroutines; the trace serialises span mutation internally,
-		// so concurrent sub-layer spans are safe and show up as overlapping
-		// lanes in the exported timeline.
+		// One span per sub-layer schedule.
 		sctx, sp := obs.StartSpan(ctx, "pipeline.schedule")
 		if sp != nil {
 			sp.SetAttr("layer", name)
@@ -507,61 +444,12 @@ func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys Syste
 		}
 	}
 	scheds := make(map[string]schedOut, len(probs))
-	if workers > 1 {
-		opts.DPipe.Progress = serializeProgress(opts.DPipe.Progress)
-		results := make([]dpipe.Result, len(names))
-		errs := make([]error, len(names))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		var panicMu sync.Mutex
-		var panicVal any
-		work := func() {
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicVal == nil {
-						panicVal = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(names) {
-					return
-				}
-				results[i], errs[i] = schedOne(names[i])
-			}
+	for _, name := range names {
+		res, err := schedOne(name)
+		if err != nil {
+			return Result{}, fmt.Errorf("pipeline: scheduling %s: %w", name, err)
 		}
-		// The calling goroutine is one of the workers.
-		wg.Add(workers - 1)
-		for i := 1; i < workers; i++ {
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		work()
-		wg.Wait()
-		if panicVal != nil {
-			panic(panicVal)
-		}
-		for i, err := range errs {
-			if err != nil {
-				return Result{}, fmt.Errorf("pipeline: scheduling %s: %w", names[i], err)
-			}
-		}
-		for i, name := range names {
-			scheds[name] = schedOut{res: results[i], lp: probs[name]}
-		}
-	} else {
-		for _, name := range names {
-			res, err := schedOne(name)
-			if err != nil {
-				return Result{}, fmt.Errorf("pipeline: scheduling %s: %w", name, err)
-			}
-			scheds[name] = schedOut{res: res, lp: probs[name]}
-		}
+		scheds[name] = schedOut{res: res, lp: probs[name]}
 	}
 	if reg != nil {
 		reg.Histogram("pipeline.schedule_ms", nil).

@@ -36,9 +36,6 @@ func chaosTestServer(t *testing.T, cfg Config, spec string, seed uint64) (*Serve
 	if err != nil {
 		t.Fatalf("chaos.Parse(%q): %v", spec, err)
 	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = 1
-	}
 	reg := obs.NewRegistry()
 	s := New(cfg, reg, chaos.With(context.Background(), inj))
 	ts := httptest.NewServer(s.Handler())
@@ -236,7 +233,6 @@ func TestServeDrainsUnderInjection(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	s := New(Config{
-		Parallelism:     1,
 		RequestTimeout:  5 * time.Second,
 		DrainTimeout:    20 * time.Second,
 		WatchdogTimeout: -1,

@@ -48,7 +48,7 @@ type clusterHarness struct {
 // clusterOpts tunes harness construction per test.
 type clusterOpts struct {
 	n            int
-	cfg          Config        // per-replica serve config (Parallelism defaulted to 1)
+	cfg          Config        // per-replica serve config
 	fetchTimeout time.Duration // peer fetch bound (default 2s)
 	chaos        string        // chaos schedule armed on every replica ("" disables)
 	chaosSeed    uint64
@@ -95,9 +95,6 @@ func newClusterHarness(t *testing.T, opts clusterOpts) *clusterHarness {
 		}
 		cfg := opts.cfg
 		cfg.Cluster = cl
-		if cfg.Parallelism == 0 {
-			cfg.Parallelism = 1
-		}
 		ctx := context.Background()
 		if opts.chaos != "" {
 			inj, err := chaos.Parse(opts.chaos, opts.chaosSeed)

@@ -43,7 +43,6 @@ func FuzzServePlan(f *testing.F) {
 	srv := New(Config{
 		MaxSeqLen:       4096,
 		MaxSearchBudget: 8,
-		Parallelism:     1,
 		CacheEntries:    64,
 	}, obs.NewRegistry(), context.Background())
 	handler := srv.Handler()

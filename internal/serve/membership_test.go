@@ -168,7 +168,7 @@ func newMemberHarness(t *testing.T, opts memberOpts) *memberHarness {
 			t.Fatal(err)
 		}
 		r.cl = cl
-		cfg := Config{Parallelism: 1, Cluster: cl}
+		cfg := Config{Cluster: cl}
 		if opts.stores {
 			st, err := store.Open(t.TempDir(), 0, r.reg)
 			if err != nil {

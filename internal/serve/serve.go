@@ -78,10 +78,6 @@ type Config struct {
 	// MaxSearchBudget caps the per-request TileSeek rollout budget (default
 	// 1024).
 	MaxSearchBudget int
-	// Parallelism is passed through to every evaluation's RunSpec (0 =
-	// GOMAXPROCS). Results are bit-identical at every setting, so it is not
-	// part of the cache key.
-	Parallelism int
 	// DrainTimeout bounds graceful shutdown (default 30s).
 	DrainTimeout time.Duration
 	// ReducedBudget is the search budget the degradation ladder's middle
@@ -616,7 +612,6 @@ func (s *Server) evalPlan(reqCtx context.Context, spec transfusion.RunSpec, allo
 
 // resolvePlan is evalPlan's body; see there for the contract.
 func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, allowPeer bool) (transfusion.RunResult, bool, string, string, string, error) {
-	spec.Parallelism = s.cfg.Parallelism
 	fullKey := spec.CanonicalKey()
 	// Peek the full-fidelity cache before consulting the ladder: a complete
 	// cached answer beats a freshly computed degraded one at any load.
@@ -999,7 +994,6 @@ func (s *Server) WarmGrid(ctx context.Context, maxPlans int) int {
 // key, otherwise evaluate with the nearest stored plan as the warm hint and
 // persist the completed result. Reports whether a plan was computed.
 func (s *Server) warmGridPlan(ctx context.Context, spec transfusion.RunSpec) bool {
-	spec.Parallelism = s.cfg.Parallelism
 	key := spec.CanonicalKey()
 	if _, ok := s.cache.Get(key); ok {
 		return false

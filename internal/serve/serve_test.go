@@ -21,9 +21,6 @@ const fastPlanBody = `{"arch":"edge","model":"bert","seq_len":1024,"system":"unf
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *obs.Registry) {
 	t.Helper()
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = 1
-	}
 	reg := obs.NewRegistry()
 	s := New(cfg, reg, context.Background())
 	ts := httptest.NewServer(s.Handler())
@@ -318,7 +315,7 @@ func TestTraceEndpoint(t *testing.T) {
 // completes, and Serve returns cleanly afterwards.
 func TestServeGracefulShutdownDrainsInFlight(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Config{Parallelism: 1, DrainTimeout: 30 * time.Second}, reg, context.Background())
+	s := New(Config{DrainTimeout: 30 * time.Second}, reg, context.Background())
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

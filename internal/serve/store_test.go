@@ -24,9 +24,6 @@ func storeTestServer(t *testing.T, cfg Config, dir string, cold bool, chaosSpec 
 	}
 	cfg.Store = st
 	cfg.ColdStart = cold
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = 1
-	}
 	baseCtx := context.Background()
 	if chaosSpec != "" {
 		inj, err := chaos.Parse(chaosSpec, 42)

@@ -35,8 +35,8 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"

@@ -189,10 +189,7 @@ type Options struct {
 	Iterations int
 	// Seed seeds the deterministic PRNG (0 selects the fixed default).
 	Seed uint64
-	// Parallelism is ignored: the search runs one serial MCTS trajectory at
-	// every setting. A caller with cores to spare spends them inside its
-	// objective instead (the pipeline schedules an evaluation's sub-layers
-	// concurrently). The field remains so existing callers compile.
+	// Deprecated: ignored; evaluation is serial.
 	Parallelism int
 	// Progress, when non-nil, receives an obs.RolloutDone event after every
 	// rollout. Leave nil to pay nothing: the event is neither constructed

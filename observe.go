@@ -147,9 +147,8 @@ type ExperimentReport struct {
 // RunExperimentContext, but also returns the degradation notes so callers
 // (cmd/experiments) can surface incomplete searches instead of silently
 // folding them into the numbers. csv selects CSV output instead of the
-// rendered table. parallelism bounds the worker pools used across the run —
-// independent grid cells, and inside a cell evaluated alone its sub-layers
-// and DPipe candidates (0 selects GOMAXPROCS, 1 forces the serial path); the
+// rendered table. parallelism bounds how many independent grid cells are
+// evaluated at once (0 selects GOMAXPROCS, 1 forces the serial path); the
 // rendered tables are bit-identical at every setting.
 func RunExperimentReportContext(ctx context.Context, id string, searchBudget, parallelism int, csv bool) (ExperimentReport, error) {
 	return RunExperimentReportOptions(ctx, id, ExperimentRunOptions{
@@ -162,9 +161,9 @@ func RunExperimentReportContext(ctx context.Context, id string, searchBudget, pa
 type ExperimentRunOptions struct {
 	// SearchBudget overrides the TileSeek rollout budget (0 = default).
 	SearchBudget int
-	// Parallelism bounds the worker pools used across the run (0 selects
-	// GOMAXPROCS, 1 forces the serial path); the rendered tables are
-	// bit-identical at every setting.
+	// Parallelism bounds how many independent grid cells are evaluated at
+	// once (0 selects GOMAXPROCS, 1 forces the serial path); the rendered
+	// tables are bit-identical at every setting.
 	Parallelism int
 	// CSV selects CSV output instead of the rendered table.
 	CSV bool
