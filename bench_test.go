@@ -37,7 +37,7 @@ func benchOpts() pipeline.Options {
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		dpipe.ResetFronts()
+		pipeline.ResetSchedules()
 		runner := experiments.NewRunner(benchOpts())
 		e, err := experiments.ByID(id)
 		if err != nil {
@@ -102,9 +102,10 @@ func BenchmarkAblationDPipe(b *testing.B)    { benchExperiment(b, "ablation-dpip
 // The DPipe and evaluation benchmarks report host-independent counts from an
 // obs registry next to ns/op: dp_cells/op (DP instance placements),
 // candidates/op (schedules per plan) and evals/op (objective evaluations on
-// TileSeek's master trajectory). Every benchmark that plans empties the DPipe
-// front cache at the start of each iteration, so an iteration costs what it
-// would in a fresh process and its counts do not depend on b.N.
+// TileSeek's master trajectory). Every benchmark that plans empties the
+// schedule memo and the DPipe front cache at the start of each iteration
+// (pipeline.ResetSchedules), so an iteration costs what it would in a fresh
+// process and its counts do not depend on b.N.
 
 func BenchmarkDPipePlanMHA(b *testing.B) { benchDPipePlan(b, "mha") }
 func BenchmarkDPipePlanFFN(b *testing.B) { benchDPipePlan(b, "ffn") }
@@ -127,9 +128,10 @@ func benchDPipePlan(b *testing.B, layer string) {
 
 // BenchmarkRunContext runs a fixed list of cold-search specs (two arches,
 // two models, three sequence lengths, search budget 8) through RunContext.
-// One op is the whole list from an empty DPipe front cache, so its counts
-// repeat exactly: dp_cells/op, front_hits/op (DPipe plans answered from a
-// front another spec or rollout left) and allocs/op.
+// One op is the whole list from an empty schedule memo and DPipe front
+// cache, so its counts repeat exactly: dp_cells/op, memo_hits/op (sub-layer
+// schedules answered from the memo), front_hits/op (DPipe plans answered
+// from a front another spec or rollout left) and allocs/op.
 func BenchmarkRunContext(b *testing.B) {
 	specs := runContextSpecs()
 	reg := obs.NewRegistry()
@@ -137,7 +139,7 @@ func BenchmarkRunContext(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dpipe.ResetFronts()
+		pipeline.ResetSchedules()
 		for _, s := range specs {
 			if _, err := transfusion.RunContext(ctx, s); err != nil {
 				b.Fatal(err)
@@ -145,6 +147,7 @@ func BenchmarkRunContext(b *testing.B) {
 		}
 	}
 	reportPerOp(b, reg, "dpipe.dp_cells", "dp_cells/op")
+	reportPerOp(b, reg, "pipeline.memo_hits", "memo_hits/op")
 	reportPerOp(b, reg, "dpipe.front_hits", "front_hits/op")
 }
 
@@ -155,13 +158,14 @@ func benchEvaluate(b *testing.B, archName string) {
 	reg := obs.NewRegistry()
 	ctx := obs.WithMetrics(context.Background(), reg)
 	for i := 0; i < b.N; i++ {
-		dpipe.ResetFronts()
+		pipeline.ResetSchedules()
 		if _, err := experimentsEval(ctx, archName); err != nil {
 			b.Fatal(err)
 		}
 	}
 	reportPerOp(b, reg, "tileseek.evaluated", "evals/op")
 	reportPerOp(b, reg, "dpipe.dp_cells", "dp_cells/op")
+	reportPerOp(b, reg, "pipeline.memo_hits", "memo_hits/op")
 }
 
 // runContextSpecs is BenchmarkRunContext's spec list.
@@ -233,7 +237,7 @@ func benchSearch(b *testing.B, spec arch.Spec) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dpipe.ResetFronts()
+		pipeline.ResetSchedules()
 		res, err := tileseek.SearchWithOptions(ctx, space, objective, tileseek.Options{Iterations: 64, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
@@ -313,7 +317,7 @@ func BenchmarkSearchWarm(b *testing.B) {
 			ctx := obs.WithMetrics(context.Background(), reg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dpipe.ResetFronts()
+				pipeline.ResetSchedules()
 				if _, err := pipeline.EvaluateContext(ctx, w, spec, pipeline.TransFusion(), opts); err != nil {
 					b.Fatal(err)
 				}

@@ -6,20 +6,21 @@ import (
 	"testing"
 
 	"github.com/fusedmindlab/transfusion"
-	"github.com/fusedmindlab/transfusion/internal/dpipe"
+	"github.com/fusedmindlab/transfusion/internal/pipeline"
 )
 
 // The search's counts are a property of the specs: the BenchmarkRunContext
-// spec list, planned twice, each time from an empty DPipe front cache,
-// evaluates the same tiles, fills the same DP cells and answers the same
+// spec list, planned twice, each time from an empty schedule memo and DPipe
+// front cache, evaluates the same tiles, answers the same sub-layer
+// schedules from the memo, fills the same DP cells and answers the same
 // plans from fronts, with bit-identical results.
 func TestRunContextCountsRepeat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twelve cold searches per run")
 	}
-	counters := []string{"tileseek.evaluated", "tileseek.cache_misses", "dpipe.dp_cells", "dpipe.front_hits", "dpipe.front_misses"}
+	counters := []string{"tileseek.evaluated", "tileseek.cache_misses", "pipeline.memo_hits", "pipeline.memo_misses", "dpipe.dp_cells", "dpipe.front_hits", "dpipe.front_misses"}
 	run := func() ([]transfusion.RunResult, map[string]int64) {
-		dpipe.ResetFronts()
+		pipeline.ResetSchedules()
 		reg := transfusion.NewMetrics()
 		ctx := transfusion.WithMetrics(context.Background(), reg)
 		var results []transfusion.RunResult

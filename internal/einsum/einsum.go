@@ -20,6 +20,7 @@ package einsum
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -114,7 +115,7 @@ type Einsum struct {
 // indices (classic einsum), and inferred class.
 func New(name string, out []string, inputs ...Arg) *Einsum {
 	e := &Einsum{Name: name, OutIdx: out, Inputs: inputs, Reduce: ReduceSum, ClassHint: -1, combineIsMul: true}
-	if len(e.ReductionIndices(nil)) == 0 {
+	if !e.hasReduction() {
 		e.Reduce = ReduceNone
 	}
 	return e
@@ -143,7 +144,7 @@ func (e *Einsum) Class() Class {
 	if e.ClassHint >= 0 {
 		return e.ClassHint
 	}
-	if e.combineIsMul && len(e.Inputs) >= 2 && e.Reduce == ReduceSum && len(e.ReductionIndices(nil)) > 0 {
+	if e.combineIsMul && len(e.Inputs) >= 2 && e.Reduce == ReduceSum && e.hasReduction() {
 		return ClassContraction
 	}
 	return ClassVector
@@ -218,27 +219,33 @@ func (e *Einsum) Validate(env map[string]int) error {
 	if len(e.Inputs) == 0 {
 		return fmt.Errorf("einsum %s: no inputs", e.Name)
 	}
-	inSet := make(map[string]bool)
-	for _, in := range e.Inputs {
-		for _, i := range in.Idx {
-			inSet[i] = true
-		}
-	}
 	for _, i := range e.OutIdx {
-		if !inSet[i] {
+		if !slices.ContainsFunc(e.Inputs, func(in Arg) bool { return slices.Contains(in.Idx, i) }) {
 			return fmt.Errorf("einsum %s: output index %q not present in any input", e.Name, i)
 		}
 	}
-	for _, i := range e.AllIndices() {
-		size, ok := env[i]
-		if !ok {
-			return fmt.Errorf("einsum %s: index %q has no size in environment", e.Name, i)
-		}
-		if size <= 0 {
-			return fmt.Errorf("einsum %s: index %q has non-positive size %d", e.Name, i, size)
+	// Report the smallest unsized label, as a walk of AllIndices would,
+	// without building that sorted set.
+	bad, found := "", false
+	check := func(idx []string) {
+		for _, i := range idx {
+			if size, ok := env[i]; (!ok || size <= 0) && (!found || i < bad) {
+				bad, found = i, true
+			}
 		}
 	}
-	if e.Reduce == ReduceNone && len(e.ReductionIndices(nil)) > 0 {
+	check(e.OutIdx)
+	for _, in := range e.Inputs {
+		check(in.Idx)
+	}
+	if found {
+		size, ok := env[bad]
+		if !ok {
+			return fmt.Errorf("einsum %s: index %q has no size in environment", e.Name, bad)
+		}
+		return fmt.Errorf("einsum %s: index %q has non-positive size %d", e.Name, bad, size)
+	}
+	if e.Reduce == ReduceNone && e.hasReduction() {
 		return fmt.Errorf("einsum %s: ReduceNone with reduction indices %v", e.Name, e.ReductionIndices(nil))
 	}
 	if e.Combine == nil && !e.combineIsMul && len(e.Inputs) > 1 {
@@ -256,19 +263,61 @@ func (e *Einsum) OutputSize(env map[string]int) int64 {
 // operations, computed as the product of the output dimension extents times
 // the product of the reduction dimension extents.
 func (e *Einsum) ComputeLoad(env map[string]int) int64 {
-	return indexProduct(e.OutIdx, env) * indexProduct(e.ReductionIndices(nil), env)
+	p := indexProduct(e.OutIdx, env)
+	for a, in := range e.Inputs {
+		for b := range in.Idx {
+			if e.firstReduction(a, b) {
+				p *= labelSize(in.Idx[b], env)
+			}
+		}
+	}
+	return p
+}
+
+// hasReduction reports whether the Einsum reduces over any index label.
+func (e *Einsum) hasReduction() bool {
+	for a, in := range e.Inputs {
+		for b := range in.Idx {
+			if e.firstReduction(a, b) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// firstReduction reports whether the label at e.Inputs[a].Idx[b] is a
+// reduction label (absent from the output) that no earlier input position
+// carries. Visiting every input position through it meets each reduction
+// label exactly once, without building the set ReductionIndices returns: the
+// cost model reaches it once per op per cost query.
+func (e *Einsum) firstReduction(a, b int) bool {
+	l := e.Inputs[a].Idx[b]
+	if slices.Contains(e.OutIdx, l) || slices.Contains(e.Inputs[a].Idx[:b], l) {
+		return false
+	}
+	for _, in := range e.Inputs[:a] {
+		if slices.Contains(in.Idx, l) {
+			return false
+		}
+	}
+	return true
 }
 
 func indexProduct(idx []string, env map[string]int) int64 {
 	p := int64(1)
 	for _, i := range idx {
-		size, ok := env[i]
-		if !ok {
-			panic(fmt.Sprintf("einsum: index %q has no size in environment", i))
-		}
-		p *= int64(size)
+		p *= labelSize(i, env)
 	}
 	return p
+}
+
+func labelSize(label string, env map[string]int) int64 {
+	size, ok := env[label]
+	if !ok {
+		panic(fmt.Sprintf("einsum: index %q has no size in environment", label))
+	}
+	return int64(size)
 }
 
 // CombineValue applies the Einsum's map stage to one scalar per input.

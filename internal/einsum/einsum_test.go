@@ -275,3 +275,27 @@ func TestQuickIndexPartition(t *testing.T) {
 		}
 	}
 }
+
+// ComputeLoad, Class and Validate run once per op per cost query, so they
+// walk the reduction labels in place instead of building the sorted set
+// ReductionIndices returns: no allocation, and the same load as multiplying
+// that set's extents, with a label repeated across inputs counted once.
+func TestComputeLoadAllocationFree(t *testing.T) {
+	e := New("BQK", []string{"h", "m0", "p"}, In("Q", "h", "e", "p", "e2"), In("BK", "h", "e", "m0", "e2"))
+	dims := env("h", 2, "e", 3, "p", 5, "m0", 7, "e2", 11)
+	want := e.OutputSize(dims)
+	for _, l := range e.ReductionIndices(nil) {
+		want *= int64(dims[l])
+	}
+	if got := e.ComputeLoad(dims); got != want || want != 2*3*5*7*11 {
+		t.Fatalf("ComputeLoad = %d, want %d", got, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = e.ComputeLoad(dims)
+		_ = e.Class()
+		_ = e.Validate(dims)
+	})
+	if allocs != 0 {
+		t.Fatalf("ComputeLoad/Class/Validate allocate %v times per call, want 0", allocs)
+	}
+}

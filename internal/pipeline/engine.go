@@ -6,13 +6,20 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"github.com/fusedmindlab/transfusion/internal/arch"
 	"github.com/fusedmindlab/transfusion/internal/cascade"
+	"github.com/fusedmindlab/transfusion/internal/chaos"
 	"github.com/fusedmindlab/transfusion/internal/dpipe"
+	"github.com/fusedmindlab/transfusion/internal/einsum"
 	"github.com/fusedmindlab/transfusion/internal/faults"
+	"github.com/fusedmindlab/transfusion/internal/model"
 	"github.com/fusedmindlab/transfusion/internal/obs"
 	"github.com/fusedmindlab/transfusion/internal/perf"
 	"github.com/fusedmindlab/transfusion/internal/tileseek"
@@ -94,8 +101,9 @@ type Options struct {
 	Parallelism int
 	// Progress, when non-nil, receives typed obs events during evaluation:
 	// PhaseStart/PhaseEnd around the tile search, per-rollout RolloutDone,
-	// per-plan EnumerationProgress, and Degraded on heuristic fallback. The
-	// hook runs on the caller's goroutine.
+	// EnumerationProgress per DPipe plan actually run (a sub-layer schedule
+	// read from the schedule memo runs none), and Degraded on heuristic
+	// fallback. The hook runs on the caller's goroutine.
 	Progress obs.ProgressFunc
 }
 
@@ -171,13 +179,14 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 	if opts.DPipe.Progress == nil {
 		opts.DPipe.Progress = opts.Progress
 	}
+	ev := newEvaluator(w, spec, sys, opts)
 
 	if !sys.UseTileSeek {
 		tile, err := tiling.HeuristicTile(w, spec)
 		if err != nil {
 			return Result{}, err
 		}
-		return evaluateWithTile(ctx, w, spec, sys, tile, opts)
+		return ev.evaluate(ctx, tile)
 	}
 
 	if opts.SkipSearch {
@@ -189,7 +198,7 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 		if err != nil {
 			return Result{}, err
 		}
-		res, err := evaluateWithTile(ctx, w, spec, sys, tile, opts)
+		res, err := ev.evaluate(ctx, tile)
 		if err != nil {
 			return Result{}, err
 		}
@@ -220,7 +229,7 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 		objCtx = obs.ContextWithSpan(ctx, nil)
 	}
 	objective := func(c tiling.Config) (float64, bool) {
-		r, err := evaluateWithTile(objCtx, w, spec, sys, c, opts)
+		r, err := ev.evaluate(objCtx, c)
 		if err != nil {
 			return 0, false
 		}
@@ -306,7 +315,7 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 		return Result{}, fmt.Errorf("pipeline: no runnable tile: %w", serr)
 	}
 
-	res, err := evaluateWithTile(ctx, w, spec, sys, best, opts)
+	res, err := ev.evaluate(ctx, best)
 	if err != nil {
 		return Result{}, err
 	}
@@ -346,24 +355,6 @@ func degradeReason(err error) string {
 	}
 }
 
-// layerProblem bundles a schedulable sub-layer with the metadata the
-// traffic model needs.
-type layerProblem struct {
-	prob *dpipe.Problem
-	// fullDims gives each index label's full per-instance extent (the tile
-	// extent, not the per-epoch slice); used for kernel-level DRAM sizing.
-	fullDims map[string]int
-	// weights names operand tensors that are model parameters (amortised
-	// across the batch tile).
-	weights map[string]bool
-	kind    LayerKind
-	// sched is the scheduler this system uses for this sub-layer.
-	sched Scheduler
-	// instOverride, when non-zero, replaces the default per-layer instance
-	// count for this sub-layer's phase (used by FLAT's row-batch attention).
-	instOverride int64
-}
-
 // EvaluateWithTile models the system under an explicit outer tile.
 func EvaluateWithTile(w Workload, spec arch.Spec, sys System, tile tiling.Config, opts Options) (Result, error) {
 	return EvaluateWithTileContext(context.Background(), w, spec, sys, tile, opts)
@@ -372,11 +363,48 @@ func EvaluateWithTile(w Workload, spec arch.Spec, sys System, tile tiling.Config
 // EvaluateWithTileContext is EvaluateWithTile under a context; cancellation
 // aborts the per-sub-layer schedule search within one candidate.
 func EvaluateWithTileContext(ctx context.Context, w Workload, spec arch.Spec, sys System, tile tiling.Config, opts Options) (Result, error) {
-	return evaluateWithTile(ctx, w, spec, sys, tile, opts)
+	return newEvaluator(w, spec, sys, opts).evaluate(ctx, tile)
 }
 
-func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys System, tile tiling.Config, opts Options) (Result, error) {
+// evaluator evaluates tiles of one workload on one architecture and system
+// under fixed options. EvaluateContext builds one per request and runs every
+// tile the search proposes through it, so the memo context and the warm-hint
+// ids (see memoKey) are interned once per request, not once per tile.
+type evaluator struct {
+	w    Workload
+	spec arch.Spec
+	sys  System
+	opts Options
+	// memo is false when the caller passes raw DPipe hints
+	// (Options.DPipe.WarmHints), which no memo key carries.
+	memo bool
+	// ctxID interns the memoContext; hints[l] interns sub-layer l's warm
+	// hint (0: none).
+	ctxID uint64
+	hints [numSubLayers]uint64
+}
+
+func newEvaluator(w Workload, spec arch.Spec, sys System, opts Options) *evaluator {
 	opts = opts.withDefaults()
+	ev := &evaluator{w: w, spec: spec, sys: sys, opts: opts, memo: len(opts.DPipe.WarmHints) == 0}
+	if !ev.memo {
+		return ev
+	}
+	d := opts.DPipe
+	ev.ctxID = internContext(memoContext{
+		spec: spec, model: w.Model, sys: sys,
+		caps: [4]int{d.MaxBipartitions, d.MaxOrdersPerPartition, d.ExplicitEpochs, d.MaxEnumeration},
+	})
+	for l := range ev.hints {
+		if h, ok := ev.hint(subLayer(l)); ok {
+			ev.hints[l] = internHint(h)
+		}
+	}
+	return ev
+}
+
+func (ev *evaluator) evaluate(ctx context.Context, tile tiling.Config) (Result, error) {
+	w, spec, sys := ev.w, ev.spec, ev.sys
 	if err := tile.Validate(w); err != nil {
 		return Result{}, err
 	}
@@ -388,114 +416,51 @@ func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys Syste
 	}
 
 	m := w.Model
-	n := w.SeqLen
 	dm := m.D
 	bytes := int64(spec.BytesPerElement)
 	bt := int64(tile.B)
-	qInst := int64(w.Batch) * int64(n/tile.P)
+	qInst := int64(w.Batch) * int64(w.SeqLen/tile.P)
 	kvInst := int64(w.Batch) * tile.KVChunks(w)
-
-	probs, err := buildProblems(w, spec, sys, tile)
-	if err != nil {
-		return Result{}, err
-	}
 
 	// Schedule every sub-layer problem in name order, so a scheduling error
 	// always names the lexicographically smallest failing sub-layer.
-	type schedOut struct {
-		res dpipe.Result
-		lp  layerProblem
-	}
 	reg := obs.MetricsFrom(ctx)
 	var schedStart time.Time
 	if reg != nil {
 		schedStart = time.Now()
 	}
-	names := make([]string, 0, len(probs))
-	for name := range probs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	schedOne := func(name string) (res dpipe.Result, err error) {
-		lp := probs[name]
-		// One span per sub-layer schedule.
-		sctx, sp := obs.StartSpan(ctx, "pipeline.schedule")
-		if sp != nil {
-			sp.SetAttr("layer", name)
-			sp.SetAttr("scheduler", lp.sched.String())
-			defer func() {
-				sp.SetAttrInt("candidates", int64(res.Candidates))
-				sp.EndErr(err)
-			}()
-		}
-		switch lp.sched {
-		case SchedSequential:
-			return dpipe.Sequential(lp.prob, spec, nil)
-		case SchedStatic:
-			return dpipe.StaticPipelined(lp.prob, spec, dpipe.FuseMaxAssignment(lp.prob, spec))
-		default:
-			dopts := opts.DPipe
-			if opts.WarmHint != nil {
-				if lh, ok := opts.WarmHint.Layers[name]; ok && len(lh.Order) > 0 {
-					dopts.WarmHints = []dpipe.Hint{{Order: lh.Order, First: lh.First}}
-				}
-			}
-			return dpipe.PlanContext(sctx, lp.prob, spec, dopts)
-		}
-	}
-	scheds := make(map[string]schedOut, len(probs))
-	for _, name := range names {
-		res, err := schedOne(name)
+	descs := ev.describe(tile)
+	var scheds [numSubLayers]schedule
+	var names [numSubLayers][]string
+	for l := range scheds {
+		s, n, err := ev.schedule(ctx, subLayer(l), descs[l])
 		if err != nil {
-			return Result{}, fmt.Errorf("pipeline: scheduling %s: %w", name, err)
+			return Result{}, fmt.Errorf("pipeline: scheduling %s: %w", subLayerNames[l], err)
 		}
-		scheds[name] = schedOut{res: res, lp: probs[name]}
+		scheds[l], names[l] = s, n
 	}
 	if reg != nil {
 		reg.Histogram("pipeline.schedule_ms", nil).
 			Observe(float64(time.Since(schedStart).Microseconds()) / 1e3)
 	}
 
-	// On-chip traffic per problem instance (buffer/RF/op counts). Pipelined
-	// schedules retain producer-consumer operands in the register file
-	// (FuseMax-style); sequential schedules round-trip the buffer.
-	onChip := func(name string) perf.Traffic {
-		so := scheds[name]
-		var fused map[string]bool
-		if so.lp.sched != SchedSequential {
-			fused = make(map[string]bool, len(so.lp.prob.Ops))
-			for op := range so.lp.prob.Ops {
-				fused[op] = true
-			}
-		}
-		var tr perf.Traffic
-		for opName, op := range so.lp.prob.Ops {
-			kind := so.res.Assignment[opName]
-			tr.Add(perf.OpTraffic(op, spec, kind, fused).Scale(float64(so.lp.prob.Epochs)))
-		}
-		return tr
-	}
-
-	// DRAM boundary traffic per phase instance.
-	kvprojDRAM := kernelDRAM(probs["kvproj"], bt, bytes)
 	var phases []Phase
-
 	addPhase := func(ph Phase) { phases = append(phases, ph) }
 
 	// KV projection phase: common to every system (K/V are always written
 	// to off-chip memory for reuse across query tiles — Figure 3).
 	{
-		so := scheds["kvproj"]
+		so := &scheds[subKVProj]
 		ph := Phase{
 			Name:          "kvproj",
-			ComputeCycles: so.res.TotalCycles,
-			DRAMBytes:     kvprojDRAM,
+			ComputeCycles: so.cycles,
+			DRAMBytes:     so.kernelDRAM(bt, bytes),
 			Instances:     kvInst,
-			Busy1D:        so.res.Busy1D,
-			Busy2D:        so.res.Busy2D,
-			OnChip:        onChip("kvproj"),
+			Busy1D:        so.busy1D,
+			Busy2D:        so.busy2D,
+			OnChip:        so.onChip,
 		}
-		ph.ComputeByLayer[LayerQKV] = so.res.TotalCycles
+		ph.ComputeByLayer[LayerQKV] = so.cycles
 		addPhase(ph)
 	}
 
@@ -508,13 +473,13 @@ func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys Syste
 		var compute, busy1, busy2 float64
 		var byLayer [numLayerKinds]float64
 		var chip perf.Traffic
-		for _, name := range []string{"qproj", "mha", "ln", "ffn"} {
-			so := scheds[name]
-			compute += so.res.TotalCycles
-			busy1 += so.res.Busy1D
-			busy2 += so.res.Busy2D
-			byLayer[so.lp.kind] += so.res.TotalCycles
-			chip.Add(onChip(name))
+		for _, l := range []subLayer{subQProj, subMHA, subLN, subFFN} {
+			so := &scheds[l]
+			compute += so.cycles
+			busy1 += so.busy1D
+			busy2 += so.busy2D
+			byLayer[subLayerKinds[l]] += so.cycles
+			chip.Add(so.onChip)
 		}
 		dram := bytes * (2*int64(w.AvgVisibleKV(tile.P))*int64(dm) + // K and V streams
 			(int64(dm)*int64(dm)+2*int64(dm)*int64(m.S))/bt + // WQ + FFN weights
@@ -533,27 +498,27 @@ func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys Syste
 	} else {
 		// Q projection (unfused): DRAM round trip for input and output.
 		{
-			so := scheds["qproj"]
+			so := &scheds[subQProj]
 			ph := Phase{
 				Name:          "qproj",
-				ComputeCycles: so.res.TotalCycles,
-				DRAMBytes:     kernelDRAM(probs["qproj"], bt, bytes),
+				ComputeCycles: so.cycles,
+				DRAMBytes:     so.kernelDRAM(bt, bytes),
 				Instances:     qInst,
-				Busy1D:        so.res.Busy1D,
-				Busy2D:        so.res.Busy2D,
-				OnChip:        onChip("qproj"),
+				Busy1D:        so.busy1D,
+				Busy2D:        so.busy2D,
+				OnChip:        so.onChip,
 			}
-			ph.ComputeByLayer[LayerQKV] = so.res.TotalCycles
+			ph.ComputeByLayer[LayerQKV] = so.cycles
 			addPhase(ph)
 		}
 		// MHA: fused on-chip (FLAT/FuseMax) or kernel-level (Unfused).
 		{
-			so := scheds["mha"]
+			so := &scheds[subMHA]
 			mhaInst := qInst
 			mhaP := tile.P
-			if so.lp.instOverride > 0 {
-				mhaInst = so.lp.instOverride
-				mhaP = so.lp.fullDims["p"]
+			if d := descs[subMHA]; d.instOverride > 0 {
+				mhaInst = d.instOverride
+				mhaP = d.reads[0]
 			}
 			var dram int64
 			if sys.FuseAttention {
@@ -561,49 +526,42 @@ func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys Syste
 					2*int64(w.AvgVisibleKV(mhaP))*int64(dm) + // K and V streams
 					int64(mhaP)*int64(dm)) // AV write
 			} else {
-				dram = kernelDRAM(probs["mha"], bt, bytes)
+				dram = so.kernelDRAM(bt, bytes)
 			}
 			ph := Phase{
 				Name:          "mha",
-				ComputeCycles: so.res.TotalCycles,
+				ComputeCycles: so.cycles,
 				DRAMBytes:     dram,
 				Instances:     mhaInst,
-				Busy1D:        so.res.Busy1D,
-				Busy2D:        so.res.Busy2D,
-				OnChip:        onChip("mha"),
+				Busy1D:        so.busy1D,
+				Busy2D:        so.busy2D,
+				OnChip:        so.onChip,
 			}
-			ph.ComputeByLayer[LayerMHA] = so.res.TotalCycles
+			ph.ComputeByLayer[LayerMHA] = so.cycles
 			addPhase(ph)
 		}
 		// Add & LayerNorm and FFN, unfused.
-		for _, entry := range []struct {
-			name string
-			kind LayerKind
-		}{{"ln", LayerNorm}, {"ffn", LayerFFN}} {
-			so := scheds[entry.name]
+		for _, l := range []subLayer{subLN, subFFN} {
+			so := &scheds[l]
 			ph := Phase{
-				Name:          entry.name,
-				ComputeCycles: so.res.TotalCycles,
-				DRAMBytes:     kernelDRAM(probs[entry.name], bt, bytes),
+				Name:          subLayerNames[l],
+				ComputeCycles: so.cycles,
+				DRAMBytes:     so.kernelDRAM(bt, bytes),
 				Instances:     qInst,
-				Busy1D:        so.res.Busy1D,
-				Busy2D:        so.res.Busy2D,
-				OnChip:        onChip(entry.name),
+				Busy1D:        so.busy1D,
+				Busy2D:        so.busy2D,
+				OnChip:        so.onChip,
 			}
-			ph.ComputeByLayer[entry.kind] = so.res.TotalCycles
+			ph.ComputeByLayer[subLayerKinds[l]] = so.cycles
 			addPhase(ph)
 		}
 	}
 
 	// Roofline each phase and accumulate over layers.
 	layers := int64(m.Layers)
-	plans := make(map[string]LayerPlan, len(scheds))
-	for name, so := range scheds {
-		plans[name] = LayerPlan{
-			Order:  so.res.Order,
-			First:  so.res.Bipartition.FirstSorted(),
-			Epochs: so.lp.prob.Epochs,
-		}
+	plans := make(map[string]LayerPlan, numSubLayers)
+	for l := range scheds {
+		plans[subLayerNames[l]] = scheds[l].plan(names[l])
 	}
 	res := Result{
 		System:   sys.Name,
@@ -642,74 +600,100 @@ func evaluateWithTile(ctx context.Context, w Workload, spec arch.Spec, sys Syste
 	return res, nil
 }
 
-// buildProblems constructs the five schedulable sub-layer problems for a
-// system/tile combination.
-func buildProblems(w Workload, spec arch.Spec, sys System, tile tiling.Config) (map[string]layerProblem, error) {
-	m := w.Model
-	n := w.SeqLen
-	pp := tile.PPrime(spec)
+// subLayer indexes the five sub-layer problems of a layer in name order.
+type subLayer uint8
 
-	qkv := cascade.QKV()
-	qCasc := &cascade.Cascade{Name: "QKV", Body: qkv.Body[:1]}
-	kvCasc := &cascade.Cascade{Name: "QKV", Body: qkv.Body[1:3]}
+const (
+	subFFN subLayer = iota
+	subKVProj
+	subLN
+	subMHA
+	subQProj
+	numSubLayers
+)
 
-	dEpochs := int64(ceilDiv(m.D, tile.D))
-	out := make(map[string]layerProblem, 5)
+// subLayerNames name the sub-layer problems, as Result.Plans and
+// WarmHint.Layers key them.
+var subLayerNames = [numSubLayers]string{"ffn", "kvproj", "ln", "mha", "qproj"}
 
-	add := func(name string, c *cascade.Cascade, dims map[string]int, epochs int64, fullDims map[string]int, weights map[string]bool, kind LayerKind, sched Scheduler) error {
-		prob, err := dpipe.FromCascade(c, dims, epochs)
-		if err != nil {
-			return err
-		}
-		out[name] = layerProblem{prob: prob, fullDims: fullDims, weights: weights, kind: kind, sched: sched}
-		return nil
+// subLayerKinds attribute each sub-layer's compute to a LayerKind.
+var subLayerKinds = [numSubLayers]LayerKind{LayerFFN, LayerQKV, LayerNorm, LayerMHA, LayerQKV}
+
+// subLayerWeights name each sub-layer's operand tensors that are model
+// parameters (amortised across the batch tile).
+var subLayerWeights = [numSubLayers]map[string]bool{
+	subFFN:    {"WF1": true, "WF2": true, "BF1": true, "BF2": true},
+	subKVProj: {"WK": true, "WV": true},
+	subQProj:  {"WQ": true},
+}
+
+// scheduler is the scheduler this system uses for sub-layer l.
+func (ev *evaluator) scheduler(l subLayer) Scheduler {
+	if l == subMHA {
+		return ev.sys.AttentionScheduler
 	}
+	return ev.sys.OtherScheduler
+}
 
-	otherSched := sys.OtherScheduler
-	attnSched := sys.AttentionScheduler
-
-	if err := add("qproj", qCasc,
-		map[string]int{"d": tile.D, "p": tile.P, "h": m.H, "e": m.E},
-		dEpochs,
-		map[string]int{"d": m.D, "p": tile.P, "h": m.H, "e": m.E},
-		map[string]bool{"WQ": true},
-		LayerQKV, otherSched); err != nil {
-		return nil, err
+// hint is sub-layer l's DPipe warm hint, when the options carry one for a
+// DPipe-scheduled sub-layer.
+func (ev *evaluator) hint(l subLayer) (dpipe.Hint, bool) {
+	if ev.opts.WarmHint == nil || ev.scheduler(l) != SchedDPipe {
+		return dpipe.Hint{}, false
 	}
-	if err := add("kvproj", kvCasc,
-		map[string]int{"d": tile.D, "m1": tile.M1, "m0": tile.M0, "h": m.H, "e": m.E, "f": m.F},
-		dEpochs,
-		map[string]int{"d": m.D, "m1": tile.M1, "m0": tile.M0, "h": m.H, "e": m.E, "f": m.F},
-		map[string]bool{"WK": true, "WV": true},
-		LayerQKV, otherSched); err != nil {
-		return nil, err
+	lh, ok := ev.opts.WarmHint.Layers[subLayerNames[l]]
+	if !ok || len(lh.Order) == 0 {
+		return dpipe.Hint{}, false
 	}
+	return dpipe.Hint{Order: lh.Order, First: lh.First}, true
+}
 
+// layerDesc describes one sub-layer problem from the tile without building
+// it. reads are the tile-derived extents the problem is built from (see
+// evaluator.problem), which with the memo context determine its schedule:
+//
+//	qproj   D, P
+//	kvproj  D, M1, M0
+//	mha     P (FLAT: its row batch pFlat), M0 (streaming only), the visible KV length
+//	ln      P', P
+//	ffn     S, P', P
+//
+// B appears in none of them: it enters only the DRAM amortisation of the
+// weights, which the phase composition applies to the schedule.
+type layerDesc struct {
+	reads [3]int
+	// causal selects the masked streaming-attention cascade; it is set only
+	// on a streaming system's mha, the one problem masking changes beyond
+	// the visible KV length.
+	causal bool
+	// instOverride, when non-zero, replaces the default per-layer instance
+	// count for this sub-layer's phase (FLAT's row-batch attention).
+	instOverride int64
+}
+
+// describe computes the five sub-layer descriptions of a tile.
+func (ev *evaluator) describe(tile tiling.Config) [numSubLayers]layerDesc {
+	w := ev.w
+	pp := tile.PPrime(ev.spec)
 	// Under causal masking every query attends to roughly half the
 	// sequence on average; nVis is the effective key/value extent.
 	nVis := w.AvgVisibleKV(tile.P)
+	var d [numSubLayers]layerDesc
+	d[subQProj].reads = [3]int{tile.D, tile.P}
+	d[subKVProj].reads = [3]int{tile.D, tile.M1, tile.M0}
+	d[subLN].reads = [3]int{pp, tile.P}
+	d[subFFN].reads = [3]int{tile.S, pp, tile.P}
 	switch {
-	case sys.StreamingAttention:
-		mhaCascade := cascade.Attention()
-		if w.Causal {
-			mhaCascade = cascade.CausalAttention()
-		}
-		if err := add("mha", mhaCascade,
-			map[string]int{"h": m.H, "e": m.E, "f": m.F, "p": tile.P, "m0": tile.M0},
-			int64(ceilDiv(nVis, tile.M0)),
-			map[string]int{"h": m.H, "e": m.E, "f": m.F, "p": tile.P, "m0": nVis},
-			nil,
-			LayerMHA, attnSched); err != nil {
-			return nil, err
-		}
-	case sys.FuseAttention:
+	case ev.sys.StreamingAttention:
+		d[subMHA] = layerDesc{reads: [3]int{tile.P, tile.M0, nVis}, causal: w.Causal}
+	case ev.sys.FuseAttention:
 		// FLAT: full (two-pass) softmax fused on-chip. Unlike the streaming
 		// cascade, the complete score rows for every query in flight must be
 		// resident, so the row batch shrinks as the sequence grows:
 		// p_flat = buffer/2 / N. This is FLAT's structural weakness at long
 		// sequences (its 2D-array utilisation collapses), and the reason the
 		// gap to streaming systems widens with N.
-		pFlat := int(spec.BufferElements() / 2 / int64(w.KVLen()))
+		pFlat := int(ev.spec.BufferElements() / 2 / int64(w.KVLen()))
 		if pFlat > tile.P {
 			pFlat = tile.P
 		}
@@ -718,50 +702,260 @@ func buildProblems(w Workload, spec arch.Spec, sys System, tile tiling.Config) (
 		}
 		// Snap down to a divisor of the sequence so row batches tile it
 		// exactly (no ragged final batch).
-		if ds := tiling.Divisors(n, pFlat); len(ds) > 0 {
+		if ds := tiling.Divisors(w.SeqLen, pFlat); len(ds) > 0 {
 			pFlat = ds[len(ds)-1]
 		}
-		if err := add("mha", cascade.NaiveAttention(),
-			map[string]int{"h": m.H, "e": m.E, "f": m.F, "p": pFlat, "m0": nVis},
-			1,
-			map[string]int{"h": m.H, "e": m.E, "f": m.F, "p": pFlat, "m0": nVis},
-			nil,
-			LayerMHA, attnSched); err != nil {
-			return nil, err
+		d[subMHA] = layerDesc{
+			reads:        [3]int{pFlat, 0, nVis},
+			instOverride: int64(w.Batch) * int64(ceilDiv(w.SeqLen, pFlat)),
 		}
-		lp := out["mha"]
-		lp.instOverride = int64(w.Batch) * int64(ceilDiv(n, pFlat))
-		out["mha"] = lp
 	default:
 		// Unfused: the same naive cascade, but every intermediate (including
 		// the score matrix) round-trips DRAM, so the full query tile is kept.
-		if err := add("mha", cascade.NaiveAttention(),
-			map[string]int{"h": m.H, "e": m.E, "f": m.F, "p": tile.P, "m0": nVis},
-			1,
-			map[string]int{"h": m.H, "e": m.E, "f": m.F, "p": tile.P, "m0": nVis},
-			nil,
-			LayerMHA, attnSched); err != nil {
-			return nil, err
+		d[subMHA].reads = [3]int{tile.P, 0, nVis}
+	}
+	return d
+}
+
+// layerProblem bundles a schedulable sub-layer with the metadata the
+// traffic model needs.
+type layerProblem struct {
+	prob *dpipe.Problem
+	// fullDims gives each index label's full per-instance extent (the tile
+	// extent, not the per-epoch slice); used for kernel-level DRAM sizing.
+	fullDims map[string]int
+}
+
+// problem builds sub-layer l's schedulable problem from its description.
+// Beyond it, it reads only the model and the system's dataflow, both in the
+// memo context, so a memo key determines the problem it stands for.
+func (ev *evaluator) problem(l subLayer, desc layerDesc) (layerProblem, error) {
+	m := ev.w.Model
+	r := desc.reads
+	var c *cascade.Cascade
+	var dims, full map[string]int
+	var epochs int64
+	switch l {
+	case subQProj:
+		d, p := r[0], r[1]
+		c = &cascade.Cascade{Name: "QKV", Body: cascade.QKV().Body[:1]}
+		dims = map[string]int{"d": d, "p": p, "h": m.H, "e": m.E}
+		full = map[string]int{"d": m.D, "p": p, "h": m.H, "e": m.E}
+		epochs = int64(ceilDiv(m.D, d))
+	case subKVProj:
+		d, m1, m0 := r[0], r[1], r[2]
+		c = &cascade.Cascade{Name: "QKV", Body: cascade.QKV().Body[1:3]}
+		dims = map[string]int{"d": d, "m1": m1, "m0": m0, "h": m.H, "e": m.E, "f": m.F}
+		full = map[string]int{"d": m.D, "m1": m1, "m0": m0, "h": m.H, "e": m.E, "f": m.F}
+		epochs = int64(ceilDiv(m.D, d))
+	case subMHA:
+		p, m0, nVis := r[0], r[1], r[2]
+		if ev.sys.StreamingAttention {
+			c = cascade.Attention()
+			if desc.causal {
+				c = cascade.CausalAttention()
+			}
+			dims = map[string]int{"h": m.H, "e": m.E, "f": m.F, "p": p, "m0": m0}
+			full = map[string]int{"h": m.H, "e": m.E, "f": m.F, "p": p, "m0": nVis}
+			epochs = int64(ceilDiv(nVis, m0))
+		} else {
+			// The naive cascade over the whole visible KV length in one
+			// epoch, on FLAT's row batch or Unfused's query tile.
+			c = cascade.NaiveAttention()
+			dims = map[string]int{"h": m.H, "e": m.E, "f": m.F, "p": p, "m0": nVis}
+			full = dims
+			epochs = 1
+		}
+	case subLN:
+		pp, p := r[0], r[1]
+		c = cascade.AddLayerNorm(m.InvHF())
+		dims = map[string]int{"h": m.H, "f": m.F, "p": pp}
+		full = map[string]int{"h": m.H, "f": m.F, "p": p}
+		epochs = int64(ceilDiv(p, pp))
+	case subFFN:
+		s, pp, p := r[0], r[1], r[2]
+		c = cascade.FFN(m.Activation)
+		dims = map[string]int{"h": m.H, "f": m.F, "s": s, "p": pp}
+		full = map[string]int{"h": m.H, "f": m.F, "s": m.S, "p": p}
+		epochs = int64(ceilDiv(p, pp)) * int64(ceilDiv(m.S, s))
+	}
+	prob, err := dpipe.FromCascade(c, dims, epochs)
+	if err != nil {
+		return layerProblem{}, err
+	}
+	return layerProblem{prob: prob, fullDims: full}, nil
+}
+
+// schedule returns sub-layer l's schedule and its op names, from the memo
+// when a fresh plan of the same key left it there (see scheduleMemo). Each
+// call opens one "pipeline.schedule" span, annotated memo=hit, miss or off.
+func (ev *evaluator) schedule(ctx context.Context, l subLayer, d layerDesc) (s schedule, names []string, err error) {
+	sched := ev.scheduler(l)
+	// Chaos runs strike fault sites inside the plans, so they bypass the
+	// memo, as they bypass DPipe's fronts.
+	memo := ev.memo && chaos.From(ctx) == nil
+	key := memoKey{ctx: ev.ctxID, hint: ev.hints[l], reads: d.reads, layer: l, causal: d.causal}
+	sctx, sp := obs.StartSpan(ctx, "pipeline.schedule")
+	if sp != nil {
+		sp.SetAttr("layer", subLayerNames[l])
+		sp.SetAttr("scheduler", sched.String())
+		defer func() {
+			sp.SetAttrInt("candidates", int64(s.candidates))
+			sp.EndErr(err)
+		}()
+	}
+	reg := obs.MetricsFrom(ctx)
+	if memo {
+		if hit, hitNames, ok := lookupSchedule(key); ok {
+			reg.Counter("pipeline.memo_hits").Inc()
+			sp.SetAttr("memo", "hit")
+			return hit, hitNames, nil
+		}
+		reg.Counter("pipeline.memo_misses").Inc()
+		sp.SetAttr("memo", "miss")
+	} else {
+		sp.SetAttr("memo", "off")
+	}
+	s, names, err = ev.plan(sctx, l, sched, d)
+	if err == nil && memo {
+		storeSchedule(key, s, names)
+	}
+	return s, names, err
+}
+
+// plan builds sub-layer l's problem and schedules it.
+func (ev *evaluator) plan(ctx context.Context, l subLayer, sched Scheduler, d layerDesc) (schedule, []string, error) {
+	lp, err := ev.problem(l, d)
+	if err != nil {
+		return schedule{}, nil, err
+	}
+	var res dpipe.Result
+	switch sched {
+	case SchedSequential:
+		res, err = dpipe.Sequential(lp.prob, ev.spec, nil)
+	case SchedStatic:
+		res, err = dpipe.StaticPipelined(lp.prob, ev.spec, dpipe.FuseMaxAssignment(lp.prob, ev.spec))
+	default:
+		dopts := ev.opts.DPipe
+		if h, ok := ev.hint(l); ok {
+			dopts.WarmHints = []dpipe.Hint{h}
+		}
+		res, err = dpipe.PlanContext(ctx, lp.prob, ev.spec, dopts)
+	}
+	if err != nil {
+		return schedule{}, nil, err
+	}
+	return newSchedule(lp, subLayerWeights[l], sched, res, ev.spec)
+}
+
+// Bounds of a schedule's fixed-size fields: the largest sub-layer cascade
+// (streaming attention) has 12 ops and the FFN reads 4 weight operands.
+const (
+	maxScheduleOps    = 16
+	maxWeightOperands = 4
+)
+
+// schedule is what the phase composition and Result.Plans read of one
+// sub-layer's schedule. It is the memo's value, so it holds fixed-size
+// fields only: no problem, maps or strings.
+type schedule struct {
+	cycles, busy1D, busy2D float64
+	// onChip is one instance's on-chip traffic over all its epochs.
+	onChip perf.Traffic
+	epochs int64
+	// dramElems and weightElems split kernelDRAM's element count: every
+	// activation operand and output, and each weight operand's full size
+	// before its amortisation over the batch tile (0: unused slot).
+	dramElems   int64
+	weightElems [maxWeightOperands]int64
+	// order is the per-epoch op order as indices into the sub-layer's sorted
+	// op names; first is the bipartition's first subgraph as a bitmask over
+	// the same indices.
+	order      [maxScheduleOps]uint8
+	nOps       uint8
+	first      uint16
+	candidates int32
+}
+
+// newSchedule condenses a scheduled problem into a schedule and returns it
+// with the problem's sorted op names.
+func newSchedule(lp layerProblem, weights map[string]bool, sched Scheduler, res dpipe.Result, spec arch.Spec) (schedule, []string, error) {
+	p := lp.prob
+	names := make([]string, 0, len(p.Ops))
+	for n := range p.Ops {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	if len(names) > maxScheduleOps {
+		return schedule{}, nil, fmt.Errorf("pipeline: problem %s has %d ops, more than a schedule holds (%d)", p.Name, len(names), maxScheduleOps)
+	}
+	index := func(name string) int {
+		i, _ := slices.BinarySearch(names, name)
+		return i
+	}
+	s := schedule{
+		cycles:     res.TotalCycles,
+		busy1D:     res.Busy1D,
+		busy2D:     res.Busy2D,
+		epochs:     p.Epochs,
+		nOps:       uint8(len(res.Order)),
+		candidates: int32(res.Candidates),
+	}
+	for i, n := range res.Order {
+		s.order[i] = uint8(index(n))
+	}
+	for n, in := range res.Bipartition.First {
+		if in {
+			s.first |= 1 << index(n)
 		}
 	}
 
-	if err := add("ln", cascade.AddLayerNorm(m.InvHF()),
-		map[string]int{"h": m.H, "f": m.F, "p": pp},
-		int64(ceilDiv(tile.P, pp)),
-		map[string]int{"h": m.H, "f": m.F, "p": tile.P},
-		nil,
-		LayerNorm, otherSched); err != nil {
-		return nil, err
+	// On-chip traffic (buffer/RF/op counts). Pipelined schedules retain
+	// producer-consumer operands in the register file (FuseMax-style);
+	// sequential schedules round-trip the buffer.
+	var fused map[string]bool
+	if sched != SchedSequential {
+		fused = make(map[string]bool, len(names))
+		for _, n := range names {
+			fused[n] = true
+		}
 	}
-	if err := add("ffn", cascade.FFN(m.Activation),
-		map[string]int{"h": m.H, "f": m.F, "s": tile.S, "p": pp},
-		int64(ceilDiv(tile.P, pp))*int64(ceilDiv(m.S, tile.S)),
-		map[string]int{"h": m.H, "f": m.F, "s": m.S, "p": tile.P},
-		map[string]bool{"WF1": true, "WF2": true, "BF1": true, "BF2": true},
-		LayerFFN, otherSched); err != nil {
-		return nil, err
+	for _, n := range names {
+		s.onChip.Add(perf.OpTraffic(p.Ops[n], spec, res.Assignment[n], fused).Scale(float64(p.Epochs)))
 	}
-	return out, nil
+
+	// kernelDRAM's elements: every Einsum is a separate kernel that streams
+	// each distinct input tensor in at its full per-instance extent and its
+	// output back out.
+	size := func(labels []string) int64 {
+		n := int64(1)
+		for _, l := range labels {
+			if e, ok := lp.fullDims[l]; ok {
+				n *= int64(e)
+			}
+		}
+		return n
+	}
+	nw := 0
+	for _, n := range names {
+		e := p.Ops[n].E
+		for i, in := range e.Inputs {
+			if slices.ContainsFunc(e.Inputs[:i], func(a einsum.Arg) bool { return a.Tensor == in.Tensor }) {
+				continue
+			}
+			if !weights[in.Tensor] {
+				s.dramElems += size(in.Idx)
+				continue
+			}
+			if nw == maxWeightOperands {
+				return schedule{}, nil, fmt.Errorf("pipeline: problem %s reads more than %d weight operands", p.Name, maxWeightOperands)
+			}
+			s.weightElems[nw] = size(in.Idx)
+			nw++
+		}
+		s.dramElems += size(e.OutIdx)
+	}
+	return s, names, nil
 }
 
 // kernelDRAM models an unfused sub-layer's off-chip traffic at kernel
@@ -770,36 +964,176 @@ func buildProblems(w Workload, spec arch.Spec, sys System, tile tiling.Config) (
 // back out. Weight tensors are amortised across the batch tile. This is the
 // dataflow the paper's Unfused baseline describes: "intermediate results
 // written to off-chip memory between phases".
-func kernelDRAM(lp layerProblem, batchTile, bytesPerElem int64) int64 {
-	var total int64
-	size := func(labels []string) int64 {
-		p := int64(1)
-		for _, l := range labels {
-			if s, ok := lp.fullDims[l]; ok {
-				p *= int64(s)
-			}
+func (s *schedule) kernelDRAM(batchTile, bytesPerElem int64) int64 {
+	total := s.dramElems
+	for _, w := range s.weightElems {
+		if w > 0 {
+			total += max(w/batchTile, 1)
 		}
-		return p
-	}
-	for _, op := range lp.prob.Ops {
-		seen := map[string]bool{}
-		for _, in := range op.E.Inputs {
-			if seen[in.Tensor] {
-				continue
-			}
-			seen[in.Tensor] = true
-			sz := size(in.Idx)
-			if lp.weights[in.Tensor] {
-				sz = sz / batchTile
-				if sz == 0 {
-					sz = 1
-				}
-			}
-			total += sz
-		}
-		total += size(op.E.OutIdx)
 	}
 	return total * bytesPerElem
+}
+
+// plan materialises the schedule as a LayerPlan with fresh slices, so a
+// caller that edits a Result never reaches the memo; First is empty, not
+// nil, when the schedule is unpartitioned.
+func (s *schedule) plan(names []string) LayerPlan {
+	p := LayerPlan{
+		Order:  make([]string, s.nOps),
+		First:  make([]string, 0, bits.OnesCount16(s.first)),
+		Epochs: s.epochs,
+	}
+	for i, op := range s.order[:s.nOps] {
+		p.Order[i] = names[op]
+	}
+	for op, n := range names {
+		if s.first&(1<<op) != 0 {
+			p.First = append(p.First, n)
+		}
+	}
+	return p
+}
+
+// memoKey identifies a sub-layer schedule: ctx interns what it depends on
+// beyond the tile (see memoContext), reads and causal are the layerDesc its
+// problem is built from, and hint interns the warm hint of a
+// DPipe-scheduled sub-layer (0: none).
+type memoKey struct {
+	ctx, hint uint64
+	reads     [3]int
+	layer     subLayer
+	causal    bool
+}
+
+// namesKey is the part of a memo key that selects the problem's cascade,
+// and so the op names its schedules index.
+func (k memoKey) namesKey() memoKey {
+	k.reads, k.hint = [3]int{}, 0
+	return k
+}
+
+// memoContext is what a sub-layer schedule depends on beyond its
+// description: the architecture, the model shape, the system's dataflow and
+// the DPipe caps.
+type memoContext struct {
+	spec  arch.Spec
+	model model.Config
+	sys   System
+	caps  [4]int
+}
+
+// Bounds of the schedule memo. A cold search over 240 distinct request specs
+// schedules about 2,900 distinct sub-layer problems, and an entry costs
+// about 250 bytes, so a full memo holds about a megabyte. Past
+// memoInternSize interned contexts or hints, the memo starts over.
+const (
+	scheduleMemoSize = 4096
+	memoInternSize   = 1024
+)
+
+// scheduleMemo is the process-wide memo of sub-layer schedules. TileSeek
+// evaluates every tile it proposes through five sub-layer schedules, and
+// most tiles share most of them with an earlier tile or request: a
+// sub-layer reads only a few tile fields (see layerDesc). A hit skips
+// building, validating, compiling and planning the problem. Entries are
+// stored in a ring and the oldest is evicted once it is full; errors are
+// never stored. Interned ids are never reused, so an evaluator that
+// interned its ids before a reset cannot read another context's entries.
+var scheduleMemo struct {
+	sync.Mutex
+	index    map[memoKey]int // ring slot
+	ring     []memoEntry
+	next     int                  // the oldest slot once the ring is full
+	names    map[memoKey][]string // by namesKey
+	contexts map[memoContext]uint64
+	hints    map[string]uint64
+	lastID   uint64
+}
+
+type memoEntry struct {
+	key   memoKey
+	sched schedule
+}
+
+// ResetSchedules empties the schedule memo and DPipe's front cache, so the
+// next evaluation of every tile plans its sub-layers as a fresh process
+// would. Tests and benchmarks call it to measure or count uncached work.
+func ResetSchedules() {
+	scheduleMemo.Lock()
+	resetMemoLocked()
+	scheduleMemo.Unlock()
+	dpipe.ResetFronts()
+}
+
+func resetMemoLocked() {
+	m := &scheduleMemo
+	m.index, m.ring, m.next = nil, nil, 0
+	m.names, m.contexts, m.hints = nil, nil, nil
+}
+
+// internID returns key's id in ids, assigning the next one when key is new;
+// it starts the memo over first when the table is full.
+func internID[K comparable](ids *map[K]uint64, key K) uint64 {
+	m := &scheduleMemo
+	m.Lock()
+	defer m.Unlock()
+	if id, ok := (*ids)[key]; ok {
+		return id
+	}
+	if len(*ids) >= memoInternSize {
+		resetMemoLocked()
+	}
+	if *ids == nil {
+		*ids = make(map[K]uint64)
+	}
+	m.lastID++
+	(*ids)[key] = m.lastID
+	return m.lastID
+}
+
+func internContext(c memoContext) uint64 { return internID(&scheduleMemo.contexts, c) }
+
+func internHint(h dpipe.Hint) uint64 {
+	return internID(&scheduleMemo.hints, strings.Join(h.Order, "\x1f")+"\x1e"+strings.Join(h.First, "\x1f"))
+}
+
+func lookupSchedule(key memoKey) (schedule, []string, bool) {
+	m := &scheduleMemo
+	m.Lock()
+	defer m.Unlock()
+	i, ok := m.index[key]
+	if !ok {
+		return schedule{}, nil, false
+	}
+	names, ok := m.names[key.namesKey()]
+	return m.ring[i].sched, names, ok
+}
+
+func storeSchedule(key memoKey, s schedule, names []string) {
+	m := &scheduleMemo
+	m.Lock()
+	defer m.Unlock()
+	if m.index == nil {
+		m.index = make(map[memoKey]int)
+		m.names = make(map[memoKey][]string)
+	}
+	nk := key.namesKey()
+	if _, ok := m.names[nk]; !ok {
+		m.names[nk] = names
+	}
+	if i, ok := m.index[key]; ok {
+		m.ring[i].sched = s
+		return
+	}
+	if len(m.ring) < scheduleMemoSize {
+		m.index[key] = len(m.ring)
+		m.ring = append(m.ring, memoEntry{key, s})
+		return
+	}
+	delete(m.index, m.ring[m.next].key)
+	m.ring[m.next] = memoEntry{key, s}
+	m.index[key] = m.next
+	m.next = (m.next + 1) % scheduleMemoSize
 }
 
 func ceilDiv(a, b int) int {
@@ -814,13 +1148,15 @@ func ceilDiv(a, b int) int {
 // scheduler-ablation experiment and external tools use it to study DPipe in
 // isolation.
 func BuildProblems(w Workload, spec arch.Spec, sys System, tile tiling.Config) (map[string]*dpipe.Problem, error) {
-	probs, err := buildProblems(w, spec, sys, tile)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]*dpipe.Problem, len(probs))
-	for name, lp := range probs {
-		out[name] = lp.prob
+	ev := &evaluator{w: w, spec: spec, sys: sys}
+	descs := ev.describe(tile)
+	out := make(map[string]*dpipe.Problem, numSubLayers)
+	for l, d := range descs {
+		lp, err := ev.problem(subLayer(l), d)
+		if err != nil {
+			return nil, err
+		}
+		out[subLayerNames[l]] = lp.prob
 	}
 	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/fusedmindlab/transfusion/internal/arch"
-	"github.com/fusedmindlab/transfusion/internal/dpipe"
 	"github.com/fusedmindlab/transfusion/internal/faults"
 	"github.com/fusedmindlab/transfusion/internal/perf"
 	"github.com/fusedmindlab/transfusion/internal/tiling"
@@ -128,76 +127,50 @@ func EvaluateCrossContext(ctx context.Context, w Workload, spec arch.Spec, sys S
 	qInst := int64(w.Batch) * int64(w.SeqLen/tile.P)
 	kvInst := int64(w.Batch) * tile.KVChunks(w)
 
-	probs, err := buildProblems(w, spec, sys, tile)
-	if err != nil {
-		return Result{}, err
-	}
-
-	sched := func(name string) (dpipe.Result, layerProblem, error) {
-		lp := probs[name]
-		var res dpipe.Result
-		var err error
-		switch lp.sched {
-		case SchedSequential:
-			res, err = dpipe.Sequential(lp.prob, spec, nil)
-		case SchedStatic:
-			res, err = dpipe.StaticPipelined(lp.prob, spec, dpipe.FuseMaxAssignment(lp.prob, spec))
-		default:
-			res, err = dpipe.PlanContext(ctx, lp.prob, spec, opts.DPipe)
-		}
-		return res, lp, err
-	}
-	onChip := func(lp layerProblem, res dpipe.Result) perf.Traffic {
-		var fused map[string]bool
-		if lp.sched != SchedSequential {
-			fused = make(map[string]bool, len(lp.prob.Ops))
-			for op := range lp.prob.Ops {
-				fused[op] = true
-			}
-		}
-		var tr perf.Traffic
-		for opName, op := range lp.prob.Ops {
-			tr.Add(perf.OpTraffic(op, spec, res.Assignment[opName], fused).Scale(float64(lp.prob.Epochs)))
-		}
-		return tr
+	// The cross stage takes no warm hint: its schedules are planned cold.
+	opts.WarmHint = nil
+	ev := newEvaluator(w, spec, sys, opts)
+	descs := ev.describe(tile)
+	sched := func(l subLayer) (schedule, error) {
+		s, _, err := ev.schedule(ctx, l, descs[l])
+		return s, err
 	}
 
 	var phases []Phase
 
 	// Memory K/V projection (once per KV chunk per decoder layer).
-	kvRes, kvLP, err := sched("kvproj")
+	kv, err := sched(subKVProj)
 	if err != nil {
 		return Result{}, err
 	}
 	kvPhase := Phase{
 		Name:          "cross-kvproj",
-		ComputeCycles: kvRes.TotalCycles,
-		DRAMBytes:     kernelDRAM(kvLP, bt, bytes),
+		ComputeCycles: kv.cycles,
+		DRAMBytes:     kv.kernelDRAM(bt, bytes),
 		Instances:     kvInst,
-		Busy1D:        kvRes.Busy1D,
-		Busy2D:        kvRes.Busy2D,
-		OnChip:        onChip(kvLP, kvRes),
+		Busy1D:        kv.busy1D,
+		Busy2D:        kv.busy2D,
+		OnChip:        kv.onChip,
 	}
-	kvPhase.ComputeByLayer[LayerQKV] = kvRes.TotalCycles
+	kvPhase.ComputeByLayer[LayerQKV] = kv.cycles
 	phases = append(phases, kvPhase)
 
 	// Query path: Q projection + MHA over memory + Add & LayerNorm.
-	names := []string{"qproj", "mha", "ln"}
-	kinds := []LayerKind{LayerQKV, LayerMHA, LayerNorm}
+	query := []subLayer{subQProj, subMHA, subLN}
 	if sys.FuseLayer {
 		var compute, busy1, busy2 float64
 		var byLayer [numLayerKinds]float64
 		var chip perf.Traffic
-		for i, name := range names {
-			res, lp, err := sched(name)
+		for _, l := range query {
+			s, err := sched(l)
 			if err != nil {
 				return Result{}, err
 			}
-			compute += res.TotalCycles
-			busy1 += res.Busy1D
-			busy2 += res.Busy2D
-			byLayer[kinds[i]] += res.TotalCycles
-			chip.Add(onChip(lp, res))
+			compute += s.cycles
+			busy1 += s.busy1D
+			busy2 += s.busy2D
+			byLayer[subLayerKinds[l]] += s.cycles
+			chip.Add(s.onChip)
 		}
 		dram := bytes * (int64(tile.P)*int64(dm) + // decoder stream read
 			2*int64(w.KVLen())*int64(dm) + // memory K/V stream
@@ -215,35 +188,36 @@ func EvaluateCrossContext(ctx context.Context, w Workload, spec arch.Spec, sys S
 		}
 		phases = append(phases, ph)
 	} else {
-		for i, name := range names {
-			res, lp, err := sched(name)
+		for _, l := range query {
+			s, err := sched(l)
 			if err != nil {
 				return Result{}, err
 			}
+			d := descs[l]
 			var dram int64
-			if name == "mha" && sys.FuseAttention {
+			if l == subMHA && sys.FuseAttention {
 				mhaP := tile.P
-				if lp.instOverride > 0 {
-					mhaP = lp.fullDims["p"]
+				if d.instOverride > 0 {
+					mhaP = d.reads[0]
 				}
 				dram = bytes * (int64(mhaP)*int64(dm) + 2*int64(w.KVLen())*int64(dm) + int64(mhaP)*int64(dm))
 			} else {
-				dram = kernelDRAM(lp, bt, bytes)
+				dram = s.kernelDRAM(bt, bytes)
 			}
 			inst := qInst
-			if lp.instOverride > 0 {
-				inst = lp.instOverride
+			if d.instOverride > 0 {
+				inst = d.instOverride
 			}
 			ph := Phase{
-				Name:          "cross-" + name,
-				ComputeCycles: res.TotalCycles,
+				Name:          "cross-" + subLayerNames[l],
+				ComputeCycles: s.cycles,
 				DRAMBytes:     dram,
 				Instances:     inst,
-				Busy1D:        res.Busy1D,
-				Busy2D:        res.Busy2D,
-				OnChip:        onChip(lp, res),
+				Busy1D:        s.busy1D,
+				Busy2D:        s.busy2D,
+				OnChip:        s.onChip,
 			}
-			ph.ComputeByLayer[kinds[i]] = res.TotalCycles
+			ph.ComputeByLayer[subLayerKinds[l]] = s.cycles
 			phases = append(phases, ph)
 		}
 	}

@@ -38,7 +38,9 @@ type (
 	PhaseEndEvent = obs.PhaseEnd
 	// RolloutDoneEvent reports one completed TileSeek MCTS rollout.
 	RolloutDoneEvent = obs.RolloutDone
-	// EnumerationProgressEvent reports one DPipe bipartition enumeration.
+	// EnumerationProgressEvent reports one DPipe bipartition enumeration,
+	// one per DPipe plan actually run: a sub-layer schedule read from the
+	// schedule memo emits none.
 	EnumerationProgressEvent = obs.EnumerationProgress
 	// DegradedEvent reports a fallback to the heuristic tile.
 	DegradedEvent = obs.Degraded

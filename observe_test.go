@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+
+	"github.com/fusedmindlab/transfusion/internal/pipeline"
 )
 
 // smallSpec keeps integration runs fast: the edge preset, the smallest zoo
@@ -13,6 +15,9 @@ func smallSpec() RunSpec {
 }
 
 func TestRunContextPopulatesMetrics(t *testing.T) {
+	// From an empty schedule memo, so the search plans with DPipe instead
+	// of reading schedules an earlier test left.
+	pipeline.ResetSchedules()
 	m := NewMetrics()
 	ctx := WithMetrics(context.Background(), m)
 	if _, err := RunContext(ctx, smallSpec()); err != nil {
@@ -22,7 +27,7 @@ func TestRunContextPopulatesMetrics(t *testing.T) {
 	for _, name := range []string{
 		"tileseek.searches", "tileseek.rollouts", "tileseek.evaluated",
 		"dpipe.plans", "dpipe.enumerated", "dpipe.dp_cells",
-		"pipeline.evaluations",
+		"pipeline.evaluations", "pipeline.memo_hits", "pipeline.memo_misses",
 	} {
 		if snap.Counters[name] <= 0 {
 			t.Errorf("counter %s = %d, want > 0 (snapshot: %v)", name, snap.Counters[name], snap.Counters)

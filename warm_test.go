@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/fusedmindlab/transfusion/internal/dpipe"
+	"github.com/fusedmindlab/transfusion/internal/pipeline"
 )
 
 // warmSearchCost is the host-independent price of a search: the objective
@@ -41,10 +41,11 @@ func TestWarmSearchHalvesObjectiveEvaluations(t *testing.T) {
 	spec := base
 	spec.SeqLen = 2048
 
-	// Each leg plans on an empty DPipe front cache, as a search in a
-	// fresh process does, so neither reuses the fronts that the
-	// neighbour's search, the other leg or an earlier test left.
-	dpipe.ResetFronts()
+	// Each leg plans on an empty schedule memo and DPipe front cache, as a
+	// search in a fresh process does, so neither reuses the schedules or
+	// fronts that the neighbour's search, the other leg or an earlier test
+	// left.
+	pipeline.ResetSchedules()
 	coldReg := NewMetrics()
 	cold, err := RunContext(WithMetrics(context.Background(), coldReg), spec)
 	if err != nil {
@@ -52,7 +53,7 @@ func TestWarmSearchHalvesObjectiveEvaluations(t *testing.T) {
 	}
 	warmSpec := spec
 	warmSpec.WarmHint = hres.Plan
-	dpipe.ResetFronts()
+	pipeline.ResetSchedules()
 	warmReg := NewMetrics()
 	warm, err := RunContext(WithMetrics(context.Background(), warmReg), warmSpec)
 	if err != nil {
@@ -63,6 +64,7 @@ func TestWarmSearchHalvesObjectiveEvaluations(t *testing.T) {
 	if coldCost <= 0 || warmCost <= 0 {
 		t.Fatalf("degenerate costs cold=%d warm=%d", coldCost, warmCost)
 	}
+	t.Logf("search cost: warm %d, cold %d", warmCost, coldCost)
 	if warmCost*2 > coldCost {
 		t.Fatalf("warm search spent %d objective evaluations, cold %d — less than a 50%% saving",
 			warmCost, coldCost)
