@@ -86,9 +86,9 @@ type RunSpec struct {
 	// winning plan — typically the stored result for the nearest sequence
 	// length of the same spec family (see internal/store's Nearest).
 	// TileSeek pre-expands and pre-visits the hinted tile so its evaluation
-	// becomes the incumbent and primes the objective memo; DPipe evaluates
-	// the hinted (order, bipartition) first and uses its makespan to abort
-	// provably-worse candidate sweeps early. The hint never changes which
+	// becomes the incumbent and primes the objective memo; DPipe counts the
+	// hinted (order, bipartition) as one more candidate, appended when its
+	// enumeration lacks it, and prunes nothing. The hint never changes which
 	// plan wins a search it is part of: a warm result is deterministic given
 	// the hint and never worse than the hint's objective, so it is a
 	// full-fidelity answer and is deliberately excluded from CanonicalKey.

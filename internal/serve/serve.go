@@ -42,7 +42,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -710,7 +709,7 @@ func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, a
 		// A replica-aware warm hint from the failed peer fetch above beats
 		// consulting the local store: the remote owner's nearest neighbour is
 		// at least as close as ours (it owned this key family), and using it
-		// skips a disk scan on the request path.
+		// skips the local store lookup and its record read.
 		spec.WarmHint = peerHint
 		warmed = true
 		warmSrc = sourcePeerWarm
@@ -941,9 +940,10 @@ func (s *Server) remapFetch(reqCtx context.Context, prev string, spec transfusio
 }
 
 // WarmGrid precomputes plans for gaps in the store's seq-length grid, warm-
-// seeding each from its nearest stored neighbour. Stored keys are grouped
-// into workload families (same arch/model/system and knobs, seq_len
-// ignored); between each adjacent stored pair (lo, hi) the power-of-two
+// seeding each from its nearest stored neighbour. It walks the store's
+// family index (same arch/model/system and knobs, seq_len ignored; families
+// in key order, seq_lens ascending, heuristic-only families skipped);
+// between each adjacent stored pair (lo, hi) the power-of-two
 // lengths lo*2, lo*4, ... < hi are planned, skipping any already cached or
 // stored. Completed plans land in both the memory cache and the store, and
 // count in serve.warm_grid_plans. maxPlans > 0 bounds the total work; 0
@@ -954,32 +954,18 @@ func (s *Server) WarmGrid(ctx context.Context, maxPlans int) int {
 	if s.store == nil {
 		return 0
 	}
-	byFamily := make(map[string][]transfusion.RunSpec)
-	for _, key := range s.store.Keys() {
-		spec, ok := transfusion.ParseCanonicalKey(key)
-		if !ok || spec.HeuristicOnly {
+	planned := 0
+	for _, fam := range s.store.Families() {
+		if fam.Spec.HeuristicOnly {
 			continue
 		}
-		fam := spec
-		fam.SeqLen = 0
-		fk := fam.CanonicalKey()
-		byFamily[fk] = append(byFamily[fk], spec)
-	}
-	fams := make([]string, 0, len(byFamily))
-	for f := range byFamily {
-		fams = append(fams, f)
-	}
-	sort.Strings(fams)
-	planned := 0
-	for _, f := range fams {
-		specs := byFamily[f]
-		sort.Slice(specs, func(i, j int) bool { return specs[i].SeqLen < specs[j].SeqLen })
-		for i := 0; i+1 < len(specs); i++ {
-			for q := specs[i].SeqLen * 2; q < specs[i+1].SeqLen; q *= 2 {
+		seqs := fam.SeqLens
+		for i := 0; i+1 < len(seqs); i++ {
+			for q := seqs[i] * 2; q < seqs[i+1]; q *= 2 {
 				if ctx.Err() != nil || (maxPlans > 0 && planned >= maxPlans) {
 					return planned
 				}
-				spec := specs[i]
+				spec := fam.Spec
 				spec.SeqLen = q
 				if s.warmGridPlan(ctx, spec) {
 					planned++

@@ -76,3 +76,19 @@ func FuzzStoreDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzNearestMatchesScan derives a store operation sequence (Puts,
+// overwrites, eviction, quarantine, reopen; see runNearestOps) from the fuzz
+// bytes and requires the indexed Nearest to agree with the full reference
+// scan after every step.
+func FuzzNearestMatchesScan(f *testing.F) {
+	f.Add([]byte{0, 3, 2, 0, 9, 2, 1, 15, 2, 4, 0, 5})
+	f.Add([]byte{0, 2, 2, 1, 3, 2, 2, 4, 2, 0, 5, 2, 3, 0, 5, 2, 0, 8, 2})
+	f.Add([]byte{0, 0, 2, 0, 1, 2, 0, 26, 0, 5, 1, 0, 27, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		runNearestOps(t, ops)
+	})
+}

@@ -191,6 +191,18 @@ type entry struct {
 	key  string
 	file string // base name within dir
 	size int64
+	// fam and seq place key in the family index: fam is the canonical key
+	// with SeqLen zeroed and seq its SeqLen. Put sets them; for keys the
+	// boot scan loaded the first index build does. fam stays "" for a key
+	// that does not parse.
+	fam string
+	seq int
+}
+
+// member is one stored key within a family-index family.
+type member struct {
+	seq int
+	key string
 }
 
 // Store is the durable plan tier. All methods are safe for concurrent use.
@@ -202,6 +214,13 @@ type Store struct {
 	lru        *list.List               // front = most recently used
 	byKey      map[string]*list.Element // key -> element holding *entry
 	totalBytes int64
+	// families is the warm-start family index: family key -> members sorted
+	// by seq. It stays nil until the first Nearest or Families call builds
+	// it (indexOnce), so a store that never serves a warm lookup pays
+	// nothing for it; once built, every insert and removal keeps it current
+	// under mu.
+	families  map[string][]member
+	indexOnce sync.Once
 
 	hits        *obs.Counter
 	misses      *obs.Counter
@@ -349,6 +368,7 @@ func (s *Store) evictLocked() {
 		e := tail.Value.(*entry)
 		s.lru.Remove(tail)
 		delete(s.byKey, e.key)
+		s.unindexLocked(e)
 		s.totalBytes -= e.size
 		os.Remove(filepath.Join(s.dir, e.file)) //nolint:errcheck
 		s.evictions.Inc()
@@ -426,15 +446,18 @@ func (s *Store) Put(ctx context.Context, key string, res transfusion.RunResult) 
 	// worst case a crash forgets it, which is a miss.
 	syncDir(s.dir) //nolint:errcheck
 
+	fam, seq, _ := familyOf(key)
 	s.mu.Lock()
 	if el, ok := s.byKey[key]; ok {
-		// Overwrite: same file name, new size.
+		// Overwrite: same file name and family slot, new size.
 		old := el.Value.(*entry)
 		s.totalBytes += int64(len(data)) - old.size
 		old.size = int64(len(data))
 		s.lru.MoveToFront(el)
 	} else {
-		s.byKey[key] = s.lru.PushFront(&entry{key: key, file: file, size: int64(len(data))})
+		e := &entry{key: key, file: file, size: int64(len(data)), fam: fam, seq: seq}
+		s.byKey[key] = s.lru.PushFront(e)
+		s.indexLocked(e)
 		s.totalBytes += int64(len(data))
 	}
 	s.evictLocked()
@@ -521,9 +544,11 @@ func (s *Store) get(ctx context.Context, key string) (transfusion.RunResult, str
 func (s *Store) dropEntry(key string) {
 	s.mu.Lock()
 	if el, ok := s.byKey[key]; ok {
+		e := el.Value.(*entry)
 		s.lru.Remove(el)
 		delete(s.byKey, key)
-		s.totalBytes -= el.Value.(*entry).size
+		s.unindexLocked(e)
+		s.totalBytes -= e.size
 		s.publishLocked()
 	}
 	s.mu.Unlock()
@@ -565,9 +590,7 @@ func (s *Store) WarmEntries(max int, fn func(WarmEntry) bool) {
 	}
 }
 
-// Keys returns every committed record's canonical key, sorted — the input
-// to offline walks of the stored plan grid (the serving layer's -warm-grid
-// precompute).
+// Keys returns every committed record's canonical key, sorted.
 func (s *Store) Keys() []string {
 	s.mu.Lock()
 	out := make([]string, 0, len(s.byKey))
@@ -577,6 +600,87 @@ func (s *Store) Keys() []string {
 	s.mu.Unlock()
 	sort.Strings(out)
 	return out
+}
+
+// familyOf splits a canonical key into its warm-start family — the key
+// with SeqLen zeroed — and its SeqLen; ok is false when key does not parse.
+func familyOf(key string) (fam string, seq int, ok bool) {
+	spec, ok := transfusion.ParseCanonicalKey(key)
+	if !ok {
+		return "", 0, false
+	}
+	seq = spec.SeqLen
+	spec.SeqLen = 0
+	return spec.CanonicalKey(), seq, true
+}
+
+// buildIndex builds the family index on first use. Keys without a family
+// (those the boot scan loaded) are parsed outside mu; then every entry still
+// in byKey is indexed under it. Entries Put in between carry their own
+// parse, and entries evicted or dropped in between are gone from byKey, so
+// the index matches byKey when mu is released.
+func (s *Store) buildIndex() {
+	type parse struct {
+		fam string
+		seq int
+	}
+	s.mu.Lock()
+	var todo []string
+	for k, el := range s.byKey {
+		if el.Value.(*entry).fam == "" {
+			todo = append(todo, k)
+		}
+	}
+	s.mu.Unlock()
+	parsed := make(map[string]parse, len(todo))
+	for _, k := range todo {
+		fam, seq, _ := familyOf(k)
+		parsed[k] = parse{fam, seq}
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.families = make(map[string][]member)
+	for k, el := range s.byKey {
+		e := el.Value.(*entry)
+		if p, ok := parsed[k]; ok {
+			e.fam, e.seq = p.fam, p.seq
+		}
+		s.indexLocked(e)
+	}
+}
+
+// indexLocked adds e to its family, keeping the family sorted by seq. It is
+// a no-op before the index is built and for unparseable keys. Caller holds
+// mu.
+func (s *Store) indexLocked(e *entry) {
+	if s.families == nil || e.fam == "" {
+		return
+	}
+	ms := s.families[e.fam]
+	i := sort.Search(len(ms), func(i int) bool { return ms[i].seq >= e.seq })
+	ms = append(ms, member{})
+	copy(ms[i+1:], ms[i:])
+	ms[i] = member{seq: e.seq, key: e.key}
+	s.families[e.fam] = ms
+}
+
+// unindexLocked removes e from its family, deleting a family left empty.
+// Caller holds mu.
+func (s *Store) unindexLocked(e *entry) {
+	if s.families == nil || e.fam == "" {
+		return
+	}
+	ms := s.families[e.fam]
+	i := sort.Search(len(ms), func(i int) bool { return ms[i].seq >= e.seq })
+	if i == len(ms) || ms[i].key != e.key {
+		return
+	}
+	if ms = append(ms[:i], ms[i+1:]...); len(ms) == 0 {
+		delete(s.families, e.fam)
+	} else {
+		s.families[e.fam] = ms
+	}
 }
 
 // NearestEntry is the warm-start neighbour returned by Nearest.
@@ -590,57 +694,95 @@ type NearestEntry struct {
 }
 
 // Nearest returns the stored plan nearest to the spec behind key: the same
-// canonical key on every field except SeqLen (the warm-start family —
-// distance is derived from the parsed CanonicalKey fields), minimising
-// |SeqLen - want| with ties broken towards the smaller sequence so the
-// choice is deterministic. The exact key itself is never a candidate: exact
-// hits belong to the memory and disk tiers, which are consulted before any
-// warm-start lookup. Records whose result carries no plan summary or is
-// degraded are skipped — degraded results are never persisted in the first
-// place, and a hint must never launder one back into a search. The chosen
-// record is read through the same verify-or-quarantine machinery as Get
-// (and counts in store.hits like any read), so a torn neighbour degrades to
-// "no hint", never to a wrong hint.
+// canonical key on every field except SeqLen (the warm-start family),
+// minimising |SeqLen - want| with ties broken towards the smaller sequence
+// so the choice is deterministic. The exact key itself is never a
+// candidate: exact hits belong to the memory and disk tiers, which are
+// consulted before any warm-start lookup. The neighbour is found in the
+// family index (built on the first call) with one binary search, then read
+// through the same verify-or-quarantine machinery as Get (and counts in
+// store.hits like any read), so a torn neighbour degrades to "no hint",
+// never to a wrong hint. A neighbour whose result carries no plan summary or
+// is degraded also reports no hint, without falling through to the next one
+// — degraded results are never persisted in the first place, and a hint
+// must never launder one back into a search.
 func (s *Store) Nearest(ctx context.Context, key string) (NearestEntry, bool) {
-	want, ok := transfusion.ParseCanonicalKey(key)
+	fam, want, ok := familyOf(key)
 	if !ok {
 		return NearestEntry{}, false
 	}
-	wantSeq := want.SeqLen
-	want.SeqLen = 0
-	family := want.CanonicalKey()
-
-	bestKey, bestSeq := "", 0
-	bestDist := int64(-1)
-	for _, k := range s.Keys() {
-		if k == key {
-			continue
-		}
-		spec, ok := transfusion.ParseCanonicalKey(k)
-		if !ok {
-			continue
-		}
-		seq := spec.SeqLen
-		spec.SeqLen = 0
-		if spec.CanonicalKey() != family {
-			continue
-		}
-		d := int64(seq) - int64(wantSeq)
-		if d < 0 {
-			d = -d
-		}
-		if bestDist < 0 || d < bestDist || (d == bestDist && seq < bestSeq) {
-			bestDist, bestSeq, bestKey = d, seq, k
-		}
-	}
-	if bestKey == "" {
+	s.indexOnce.Do(s.buildIndex)
+	s.mu.Lock()
+	best, ok := nearestMember(s.families[fam], key, want)
+	s.mu.Unlock()
+	if !ok {
 		return NearestEntry{}, false
 	}
-	res, outcome, _ := s.get(ctx, bestKey)
+	res, outcome, _ := s.get(ctx, best.key)
 	if outcome != "hit" || res.Degraded || res.Plan == nil {
 		return NearestEntry{}, false
 	}
-	return NearestEntry{Key: bestKey, SeqLen: bestSeq, Result: res}, true
+	return NearestEntry{Key: best.key, SeqLen: best.seq, Result: res}, true
+}
+
+// nearestMember picks from ms (one family, sorted by seq) the member whose
+// seq is nearest want, ties towards the smaller seq, never key itself.
+func nearestMember(ms []member, key string, want int) (member, bool) {
+	hi := sort.Search(len(ms), func(i int) bool { return ms[i].seq >= want })
+	lo := hi - 1
+	if hi < len(ms) && ms[hi].key == key {
+		hi++
+	}
+	switch {
+	case lo < 0 && hi == len(ms):
+		return member{}, false
+	case lo < 0:
+		return ms[hi], true
+	case hi == len(ms):
+		return ms[lo], true
+	}
+	// Unsigned differences cannot overflow: ms[lo].seq < want <= ms[hi].seq.
+	if uint64(want)-uint64(ms[lo].seq) <= uint64(ms[hi].seq)-uint64(want) {
+		return ms[lo], true
+	}
+	return ms[hi], true
+}
+
+// Family is one warm-start family of stored plans.
+type Family struct {
+	// Spec is the spec every member shares, with SeqLen zero.
+	Spec transfusion.RunSpec
+	// SeqLens are the members' sequence lengths, ascending.
+	SeqLens []int
+}
+
+// Families returns a snapshot of the family index, sorted by family key (the
+// canonical key with SeqLen zeroed) — the input to offline walks of the
+// stored plan grid (the serving layer's -warm-grid precompute).
+func (s *Store) Families() []Family {
+	s.indexOnce.Do(s.buildIndex)
+	type snap struct {
+		fam  string
+		seqs []int
+	}
+	s.mu.Lock()
+	snaps := make([]snap, 0, len(s.families))
+	for fam, ms := range s.families {
+		seqs := make([]int, len(ms))
+		for i, m := range ms {
+			seqs[i] = m.seq
+		}
+		snaps = append(snaps, snap{fam, seqs})
+	}
+	s.mu.Unlock()
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].fam < snaps[j].fam })
+	out := make([]Family, 0, len(snaps))
+	for _, sn := range snaps {
+		// A family key is a canonical key rendered by familyOf, so it parses.
+		spec, _ := transfusion.ParseCanonicalKey(sn.fam)
+		out = append(out, Family{Spec: spec, SeqLens: sn.seqs})
+	}
+	return out
 }
 
 // Len returns the number of committed records indexed.

@@ -5,8 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -583,5 +586,368 @@ func TestNearestEdgeCases(t *testing.T) {
 	}
 	if _, ok := deg.Nearest(ctx, specKey("bert", 2048)); ok {
 		t.Fatal("degraded record used as a warm hint")
+	}
+}
+
+// scanNearest is Nearest as it was before the family index: a full scan that
+// parses and re-keys every stored key. It is the reference the indexed
+// lookup must agree with.
+func scanNearest(s *Store, ctx context.Context, key string) (NearestEntry, bool) {
+	want, ok := transfusion.ParseCanonicalKey(key)
+	if !ok {
+		return NearestEntry{}, false
+	}
+	wantSeq := want.SeqLen
+	want.SeqLen = 0
+	family := want.CanonicalKey()
+
+	bestKey, bestSeq := "", 0
+	bestDist := int64(-1)
+	for _, k := range s.Keys() {
+		if k == key {
+			continue
+		}
+		spec, ok := transfusion.ParseCanonicalKey(k)
+		if !ok {
+			continue
+		}
+		seq := spec.SeqLen
+		spec.SeqLen = 0
+		if spec.CanonicalKey() != family {
+			continue
+		}
+		d := int64(seq) - int64(wantSeq)
+		if d < 0 {
+			d = -d
+		}
+		if bestDist < 0 || d < bestDist || (d == bestDist && seq < bestSeq) {
+			bestDist, bestSeq, bestKey = d, seq, k
+		}
+	}
+	if bestKey == "" {
+		return NearestEntry{}, false
+	}
+	res, outcome, _ := s.get(ctx, bestKey)
+	if outcome != "hit" || res.Degraded || res.Plan == nil {
+		return NearestEntry{}, false
+	}
+	return NearestEntry{Key: bestKey, SeqLen: bestSeq, Result: res}, true
+}
+
+// The warm-start families the equivalence tests draw keys from: two zoo
+// models, a custom model and a heuristic-only spec.
+var nearestFamilies = []transfusion.RunSpec{
+	{Arch: "edge", Model: "bert", System: "transfusion", SearchBudget: 8},
+	{Arch: "edge", Model: "llama3", System: "transfusion", SearchBudget: 8},
+	{Arch: "cloud", Model: "tiny", System: "transfusion", SearchBudget: 8, Causal: true,
+		CustomModel: &transfusion.CustomModel{Name: "tiny", Heads: 2, HeadDim: 16, FFNHidden: 64, Layers: 1, Activation: "gelu"}},
+	{Arch: "edge", Model: "bert", System: "fuseinf", HeuristicOnly: true},
+}
+
+// nearestUniverse lists every key the operation sequence may store: each
+// family at a few seq lengths, plus keys that do not parse.
+func nearestUniverse() []string {
+	keys := []string{"k1", "k2|seq=1024"}
+	for _, fam := range nearestFamilies {
+		for _, seq := range []int{512, 1024, 2048, 3072, 4096, 8192} {
+			spec := fam
+			spec.SeqLen = seq
+			keys = append(keys, spec.CanonicalKey())
+		}
+	}
+	return keys
+}
+
+// nearestQueries lists the lookups checked after every step: each family at
+// stored lengths (the exact key is excluded), between them (1536 and 6144
+// are equidistant from two stored lengths), and beyond both ends, plus
+// unparseable and foreign-family keys.
+func nearestQueries() []string {
+	keys := []string{"k1", "k2|seq=1024", specKey("gpt3", 2048)}
+	for _, fam := range nearestFamilies {
+		for _, seq := range []int{1, 512, 768, 1024, 1536, 2048, 2560, 3072, 4096, 6144, 8192, 1 << 20} {
+			spec := fam
+			spec.SeqLen = seq
+			keys = append(keys, spec.CanonicalKey())
+		}
+	}
+	return keys
+}
+
+// nearestRecord returns the result stored for a key: kind picks a plan-
+// carrying, a plan-less or a degraded one, so the chosen neighbour is
+// sometimes unusable and Nearest must report no hint rather than fall
+// through.
+func nearestRecord(seq int, kind byte) transfusion.RunResult {
+	switch kind % 4 {
+	case 0:
+		return testResult(seq)
+	case 1:
+		r := testPlanResult(seq)
+		r.Degraded, r.DegradedReason = true, "injected for test"
+		return r
+	default:
+		return testPlanResult(seq)
+	}
+}
+
+// seqOf is the SeqLen a universe key renders, 0 for an unparseable key.
+func seqOf(key string) int {
+	spec, _ := transfusion.ParseCanonicalKey(key)
+	return spec.SeqLen
+}
+
+// recordCap is a store byte cap that holds about n plan records.
+func recordCap(t *testing.T, n int) int64 {
+	t.Helper()
+	probe, err := encodeRecord(record{Key: specKey("bert", 1024), Result: testPlanResult(1024)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(n * len(probe))
+}
+
+// checkNearestMatchesScan requires the indexed Nearest and the reference
+// scan to agree on every query. The indexed lookup runs first; both read the
+// same neighbour, so neither read changes what the other finds.
+func checkNearestMatchesScan(t *testing.T, s *Store, step string) {
+	t.Helper()
+	ctx := context.Background()
+	for _, q := range nearestQueries() {
+		got, gotOK := s.Nearest(ctx, q)
+		want, wantOK := scanNearest(s, ctx, q)
+		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Nearest(%s) = (%s, seq %d, %v), reference scan = (%s, seq %d, %v)",
+				step, q, got.Key, got.SeqLen, gotOK, want.Key, want.SeqLen, wantOK)
+		}
+	}
+}
+
+// runNearestOps applies the operation sequence ops encodes to a byte-capped
+// store and checks Nearest against the reference scan after every step. Each
+// operation is one byte, with argument bytes following:
+//
+//	0-2  Put a universe key (next byte picks the key, the one after the
+//	     record kind); new keys and overwrites both occur, and the byte cap
+//	     evicts least recently used records
+//	3    corrupt a stored record on disk, then Get it (quarantine)
+//	4    Get a stored key (moves it to the LRU front)
+//	5    reopen the store, then Put up to two keys before the next check, so
+//	     the lazily built index must take in keys Put before its build
+func runNearestOps(t *testing.T, ops []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	ctx := context.Background()
+	universe := nearestUniverse()
+	maxBytes := recordCap(t, 8)
+	s, _ := mustOpen(t, dir, maxBytes)
+	next := func() byte {
+		if len(ops) == 0 {
+			return 0
+		}
+		b := ops[0]
+		ops = ops[1:]
+		return b
+	}
+	put := func() {
+		key := universe[int(next())%len(universe)]
+		if err := s.Put(ctx, key, nearestRecord(seqOf(key), next())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for step := 0; len(ops) > 0; step++ {
+		op := next() % 6
+		switch op {
+		case 0, 1, 2:
+			put()
+		case 3, 4:
+			keys := s.Keys()
+			if len(keys) == 0 {
+				continue
+			}
+			key := keys[int(next())%len(keys)]
+			if op == 3 {
+				path := filepath.Join(dir, FileName(key))
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[headerSize+1] ^= 0x01
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := s.Get(ctx, key); ok {
+					t.Fatalf("corrupted record %s served", key)
+				}
+			} else {
+				s.Get(ctx, key)
+			}
+		case 5:
+			s, _ = mustOpen(t, dir, maxBytes)
+			for n := next() % 3; n > 0; n-- {
+				put()
+			}
+		}
+		checkNearestMatchesScan(t, s, fmt.Sprintf("step %d (op %d)", step, op))
+	}
+}
+
+// The family index answers exactly as the full scan did, across new keys,
+// overwrites, eviction, quarantine and reopen.
+func TestNearestMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 300)
+		rng.Read(ops)
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runNearestOps(t, ops) })
+	}
+}
+
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
+
+// fillStore writes one plan record per key of families × 6 seq lengths
+// straight into dir (no fsync, so large stores build quickly) and opens it.
+// Model names are fixed-width, so every record of one seq length has the
+// same size.
+func fillStore(tb testing.TB, families int) *Store {
+	tb.Helper()
+	dir := tb.TempDir()
+	for f := 0; f < families; f++ {
+		for _, seq := range []int{1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20} {
+			key := specKey(fmt.Sprintf("m%05d", f), seq)
+			data, err := encodeRecord(record{Key: key, Result: testPlanResult(seq)})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, FileName(key)), data, 0o644); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	s, err := Open(dir, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// Nearest is a family lookup plus one record read: its allocation count
+// does not grow with the store. A full scan allocates per stored key, so
+// this fails if one comes back.
+func TestNearestAllocsIndependentOfStoreSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race")
+	}
+	ctx := context.Background()
+	query := specKey("m00000", 3<<10)
+	allocs := func(families int) float64 {
+		s := fillStore(t, families)
+		return testing.AllocsPerRun(20, func() {
+			if ne, ok := s.Nearest(ctx, query); !ok || ne.SeqLen != 1<<12 {
+				t.Fatalf("Nearest(%s) = (%s, %v), want the 4096 neighbour", query, ne.Key, ok)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(1000)
+	if small != large {
+		t.Fatalf("Nearest allocates %v times per call at 60 keys but %v at 6000", small, large)
+	}
+}
+
+// Nearest runs concurrently with the first index build, Puts that evict
+// under the byte cap, and quarantines (run with -race). Afterwards the index
+// still agrees with the reference scan.
+func TestNearestConcurrentWithMutations(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	universe := nearestUniverse()
+	// Seed the directory through a first store, so the store under test
+	// boots with unparsed keys and builds its index under load.
+	seed, _ := mustOpen(t, dir, 0)
+	for i, key := range universe {
+		if err := seed.Put(ctx, key, nearestRecord(seqOf(key), byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, _ := mustOpen(t, dir, recordCap(t, 12))
+
+	var wg sync.WaitGroup
+	queries := nearestQueries()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				q := queries[(w*17+i)%len(queries)]
+				ne, ok := s.Nearest(ctx, q)
+				if !ok {
+					continue
+				}
+				qf, _, _ := familyOf(q)
+				nf, _, _ := familyOf(ne.Key)
+				if ne.Key == q || nf != qf || ne.Result.Plan == nil {
+					t.Errorf("Nearest(%s) = %s: not a plan-carrying neighbour in the family", q, ne.Key)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			key := universe[(i*7)%len(universe)]
+			if err := s.Put(ctx, key, nearestRecord(seqOf(key), byte(i))); err != nil {
+				t.Errorf("Put: %v", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			keys := s.Keys()
+			if len(keys) == 0 {
+				continue
+			}
+			key := keys[i%len(keys)]
+			path := filepath.Join(dir, FileName(key))
+			if data, err := os.ReadFile(path); err == nil && len(data) > headerSize+1 {
+				data[headerSize+1] ^= 0x01
+				os.WriteFile(path, data, 0o644) //nolint:errcheck // raced by Put or eviction: fine either way
+			}
+			s.Get(ctx, key)
+		}
+	}()
+	wg.Wait()
+
+	// Quarantine whatever is still corrupt, so both lookups see one state.
+	for _, key := range s.Keys() {
+		s.Get(ctx, key)
+	}
+	checkNearestMatchesScan(t, s, "after concurrent mutations")
+}
+
+// BenchmarkStoreNearest times a near-miss lookup (a stored length times
+// 3/4) against stores of 600 and 6,000 plans.
+func BenchmarkStoreNearest(b *testing.B) {
+	ctx := context.Background()
+	for _, families := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("keys=%d", 6*families), func(b *testing.B) {
+			s := fillStore(b, families)
+			queries := make([]string, 0, families)
+			for f := 0; f < families; f++ {
+				queries = append(queries, specKey(fmt.Sprintf("m%05d", f), 3<<(10+2*(f%6))))
+			}
+			s.Nearest(ctx, queries[0]) // builds the family index
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := s.Nearest(ctx, queries[i%len(queries)]); !ok {
+					b.Fatal("near-miss lookup found no neighbour")
+				}
+			}
+		})
 	}
 }
