@@ -190,16 +190,16 @@ func reportPerOp(b *testing.B, reg *obs.Registry, counter, unit string) {
 
 func cloudSpec() arch.Spec { return arch.Cloud() }
 
-func buildLlamaProblems(b *testing.B) map[string]*dpipe.Problem {
-	b.Helper()
+func buildLlamaProblems(tb testing.TB) map[string]*dpipe.Problem {
+	tb.Helper()
 	w := pipeline.Workload{Model: model.Llama3(), SeqLen: model.SeqLength64K, Batch: model.EvalBatch}
 	tile, err := tiling.HeuristicTile(w, arch.Cloud())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	probs, err := pipeline.BuildProblems(w, arch.Cloud(), pipeline.TransFusion(), tile)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return probs
 }
@@ -256,36 +256,54 @@ func benchSearch(b *testing.B, spec arch.Spec) {
 // sub-layer problems at the heuristic tile. One op is the whole list;
 // einsums/op is its length.
 func BenchmarkOpCycles(b *testing.B) {
-	spec := cloudSpec()
-	type entry struct {
-		op    perf.OpSpec
-		fused map[string]bool // the op names of its sub-layer
-	}
-	var entries []entry
-	for _, p := range buildLlamaProblems(b) {
-		fused := make(map[string]bool, len(p.Ops))
-		for name := range p.Ops {
-			fused[name] = true
-		}
-		for _, op := range p.Ops {
-			entries = append(entries, entry{op, fused})
-		}
-	}
+	entries := opCycleEntries(b)
 	var sink float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, e := range entries {
-			sink += e.op.Cycles(spec, perf.PE2D) + e.op.Cycles(spec, perf.PE1D)
-			sink += perf.OpTraffic(e.op, spec, perf.PE2D, nil).BufferBytes
-			sink += perf.OpTraffic(e.op, spec, perf.PE2D, e.fused).BufferBytes
-		}
+		sink += opCyclesPass(entries)
 	}
 	b.StopTimer()
 	if sink <= 0 {
 		b.Fatal("cost model returned no cycles")
 	}
 	b.ReportMetric(float64(len(entries)), "einsums/op")
+}
+
+// opCycleEntry is one Einsum of BenchmarkOpCycles with the op names of its
+// sub-layer.
+type opCycleEntry struct {
+	op    perf.OpSpec
+	fused map[string]bool
+}
+
+// opCycleEntries lists every op of the Llama3-64K cloud sub-layer problems
+// at the heuristic tile.
+func opCycleEntries(tb testing.TB) []opCycleEntry {
+	var entries []opCycleEntry
+	for _, p := range buildLlamaProblems(tb) {
+		fused := make(map[string]bool, len(p.Ops))
+		for name := range p.Ops {
+			fused[name] = true
+		}
+		for _, op := range p.Ops {
+			entries = append(entries, opCycleEntry{op, fused})
+		}
+	}
+	return entries
+}
+
+// opCyclesPass is one BenchmarkOpCycles op: both arrays' cycles and the
+// traffic with and without in-register fusion, for every entry.
+func opCyclesPass(entries []opCycleEntry) float64 {
+	spec := cloudSpec()
+	var sum float64
+	for _, e := range entries {
+		sum += e.op.Cycles(spec, perf.PE2D) + e.op.Cycles(spec, perf.PE1D)
+		sum += perf.OpTraffic(e.op, spec, perf.PE2D, nil).BufferBytes
+		sum += perf.OpTraffic(e.op, spec, perf.PE2D, e.fused).BufferBytes
+	}
+	return sum
 }
 
 // Warm-started search: cold vs warm evaluations of the same workload, with

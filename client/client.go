@@ -51,12 +51,21 @@ type PlanRequest struct {
 
 // PlanResponse is the POST /v1/plan reply.
 type PlanResponse struct {
+	// Result is the evaluation outcome.
 	Result transfusion.RunResult `json:"result"`
-	Cached bool                  `json:"cached"`
-	Key    string                `json:"key"`
-	// Source names the tier that answered — "memory", "disk" (the server's
-	// persistent plan store), or "search" — mirroring X-Plan-Source.
-	Source    string  `json:"source"`
+	// Cached reports the result came from a completed cache tier without
+	// waiting on any evaluation.
+	Cached bool `json:"cached"`
+	// Key is the canonical cache key the request resolved to.
+	Key string `json:"key"`
+	// Source names the tier that answered, mirroring X-Plan-Source:
+	// "memory" (the server's in-process cache), "disk" (its persistent plan
+	// store), "peer" (fetched from the key's owning replica), "peer-warm" (a
+	// fresh search seeded from the recipe a failed peer fetch returned),
+	// "warm-search" (a fresh search seeded from the nearest stored plan), or
+	// "search" (a fresh cold evaluation).
+	Source string `json:"source"`
+	// ElapsedMS is the server-side handling time.
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// ServedDegraded mirrors the Served-Degraded response header: non-empty
 	// when the server answered below full fidelity ("budget", "heuristic",
@@ -78,10 +87,13 @@ type CompareRequest struct {
 
 // CompareResponse is the POST /v1/compare reply.
 type CompareResponse struct {
-	Results        []transfusion.RunResult `json:"results"`
-	CachedResults  int                     `json:"cached_results"`
-	ElapsedMS      float64                 `json:"elapsed_ms"`
-	ServedDegraded string                  `json:"-"`
+	Results []transfusion.RunResult `json:"results"`
+	// CachedResults counts how many of the five came straight from cache.
+	CachedResults int     `json:"cached_results"`
+	ElapsedMS     float64 `json:"elapsed_ms"`
+	// ServedDegraded mirrors the Served-Degraded response header; see
+	// PlanResponse.
+	ServedDegraded string `json:"-"`
 	// TraceID mirrors the X-Trace-Id response header; see PlanResponse.
 	TraceID string `json:"-"`
 }

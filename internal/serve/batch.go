@@ -33,8 +33,8 @@ type BatchPlanEntry struct {
 	// shed entry never voids its siblings.
 	Result *transfusion.RunResult `json:"result,omitempty"`
 	// Cached, Key and Source mirror the PlanResponse fields (Status 200
-	// only). Source may differ per entry: one batch can mix "memory",
-	// "disk", "peer", "warm-search" and "search" answers.
+	// only). Source may differ per entry: one batch can mix answers from
+	// every tier.
 	Cached bool   `json:"cached,omitempty"`
 	Key    string `json:"key,omitempty"`
 	Source string `json:"source,omitempty"`
@@ -56,22 +56,16 @@ type BatchPlanResponse struct {
 }
 
 // handlePlanBatch resolves a list of plan requests in one round trip. Each
-// entry runs through the identical tier ladder as /v1/plan (memory, disk,
-// peer, warm-search, search) and fails independently: an invalid or shed
-// entry maps to its own status while the rest proceed. Entries are resolved
-// sequentially in request order, so identical keys within one batch coalesce
-// on the cache rather than racing the singleflight. Whole-batch errors (bad
-// JSON, empty or oversized list) answer 400 with no entries.
+// entry runs through the identical tiers as /v1/plan and fails
+// independently: an invalid or shed entry maps to its own status while the
+// rest proceed. Entries are resolved sequentially in request order, so
+// identical keys within one batch coalesce on the cache rather than racing
+// the singleflight. Whole-batch errors (bad JSON, empty or oversized list)
+// answer 400 with no entries.
 func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
-		return
-	}
 	start := time.Now()
 	var req BatchPlanRequest
-	if err := decodeStrict(r, &req); err != nil {
-		s.writeError(w, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Requests) == 0 {
@@ -83,50 +77,31 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := BatchPlanResponse{Entries: make([]BatchPlanEntry, len(req.Requests))}
-	degradeMode := ""
+	mode := ""
 	for i, pr := range req.Requests {
-		entry := &resp.Entries[i]
-		if err := s.validateLimits(pr.SeqLen, pr.SearchBudget); err != nil {
-			entry.Status = faults.HTTPStatus(err)
-			entry.Error = err.Error()
-			resp.Failed++
-			continue
+		spec, err := s.planSpec(pr)
+		var res resolution
+		if err == nil {
+			res, err = s.resolvePlan(r.Context(), spec, true)
 		}
-		spec := transfusion.RunSpec{
-			Arch: pr.Arch, Model: pr.Model, SeqLen: pr.SeqLen, System: pr.System,
-			Batch: pr.Batch, SearchBudget: pr.SearchBudget, Causal: pr.Causal,
-		}
-		res, cached, key, mode, source, err := s.evalPlan(r.Context(), spec, true)
 		if err != nil {
-			entry.Status = faults.HTTPStatus(err)
-			entry.Error = err.Error()
+			resp.Entries[i] = BatchPlanEntry{Status: faults.HTTPStatus(err), Error: err.Error()}
 			resp.Failed++
 			continue
 		}
-		if mode != "" && !res.Degraded {
-			res.Degraded = true
-			res.DegradedReason = "served degraded under load (" + mode + " tier)"
-		}
-		if res.Degraded {
+		if res.mode != "" {
 			resp.DegradedEntries++
-			if degradeMode == "" {
-				if mode == "" {
-					mode = degradeSearch
-				}
-				degradeMode = mode
+			if mode == "" {
+				mode = res.mode
 			}
 		}
-		entry.Status = http.StatusOK
-		entry.Result = &res
-		entry.Cached = cached
-		entry.Key = key
-		entry.Source = source
+		resp.Entries[i] = BatchPlanEntry{
+			Status: http.StatusOK, Result: &res.res, Cached: res.cached, Key: res.key, Source: res.source,
+		}
 	}
 	// Same per-response degradation invariant as /v1/compare: one header and
 	// one counter however many entries degraded.
-	if degradeMode != "" {
-		s.markDegradedResponse(r.Context(), w, degradeMode)
-	}
+	s.markDegradedResponse(r.Context(), w, mode)
 	if resp.Failed < len(resp.Entries) {
 		s.noteSuccess()
 	}

@@ -52,6 +52,7 @@ type clusterOpts struct {
 	fetchTimeout time.Duration // peer fetch bound (default 2s)
 	chaos        string        // chaos schedule armed on every replica ("" disables)
 	chaosSeed    uint64
+	replicaCfg   func(i int, cfg *Config) // per-replica edits to cfg (nil: none)
 }
 
 // newClusterHarness boots opts.n replicas on real loopback listeners. The
@@ -95,6 +96,9 @@ func newClusterHarness(t *testing.T, opts clusterOpts) *clusterHarness {
 		}
 		cfg := opts.cfg
 		cfg.Cluster = cl
+		if opts.replicaCfg != nil {
+			opts.replicaCfg(i, &cfg)
+		}
 		ctx := context.Background()
 		if opts.chaos != "" {
 			inj, err := chaos.Parse(opts.chaos, opts.chaosSeed)

@@ -317,55 +317,22 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	return err
 }
 
-// PlanRequest is the POST /v1/plan body. Field semantics follow
-// transfusion.RunSpec; architecture files and custom models are not accepted
-// over the wire (unknown fields are rejected with 400).
-type PlanRequest struct {
-	Arch         string `json:"arch"`
-	Model        string `json:"model"`
-	SeqLen       int    `json:"seq_len"`
-	System       string `json:"system"`
-	Batch        int    `json:"batch,omitempty"`
-	SearchBudget int    `json:"search_budget,omitempty"`
-	Causal       bool   `json:"causal,omitempty"`
-}
-
-// PlanResponse is the POST /v1/plan reply.
-type PlanResponse struct {
-	// Result is the evaluation outcome.
-	Result transfusion.RunResult `json:"result"`
-	// Cached reports the result came from the completed plan cache without
-	// waiting on any evaluation.
-	Cached bool `json:"cached"`
-	// Key is the canonical cache key the request resolved to.
-	Key string `json:"key"`
-	// Source names the tier that answered — "memory" (in-process cache),
-	// "disk" (persistent plan store), "peer" (fetched from the key's owning
-	// replica), "warm-search" (a fresh evaluation seeded from the nearest
-	// stored plan), or "search" (a fresh cold evaluation) — mirrored in the
-	// X-Plan-Source response header.
-	Source string `json:"source"`
-	// ElapsedMS is the server-side handling time.
-	ElapsedMS float64 `json:"elapsed_ms"`
-}
-
-// CompareRequest is the POST /v1/compare body.
-type CompareRequest struct {
-	Arch         string `json:"arch"`
-	Model        string `json:"model"`
-	SeqLen       int    `json:"seq_len"`
-	Batch        int    `json:"batch,omitempty"`
-	SearchBudget int    `json:"search_budget,omitempty"`
-}
-
-// CompareResponse is the POST /v1/compare reply: all five systems in the
-// paper's comparison order (Unfused first).
-type CompareResponse struct {
-	Results []transfusion.RunResult `json:"results"`
-	// CachedResults counts how many of the five came straight from cache.
-	CachedResults int     `json:"cached_results"`
-	ElapsedMS     float64 `json:"elapsed_ms"`
-}
+// The wire types are the client package's: one declaration of each body's
+// fields and JSON tags, shared by both ends. The client's header mirrors
+// (ServedDegraded, TraceID) are tagged json:"-" and never encoded.
+type (
+	// PlanRequest is the POST /v1/plan body. Architecture files and custom
+	// models are not accepted over the wire (unknown fields are rejected
+	// with 400).
+	PlanRequest = client.PlanRequest
+	// PlanResponse is the POST /v1/plan reply.
+	PlanResponse = client.PlanResponse
+	// CompareRequest is the POST /v1/compare body.
+	CompareRequest = client.CompareRequest
+	// CompareResponse is the POST /v1/compare reply: all five systems in the
+	// paper's comparison order (Unfused first).
+	CompareResponse = client.CompareResponse
+)
 
 // errorResponse is the JSON body of every non-2xx reply. WarmHint rides only
 // on peer-route refusals and cache-only misses: the refusing replica's
@@ -478,6 +445,49 @@ func decodeStrict(r *http.Request, v interface{}) error {
 	return nil
 }
 
+// decodeBody is the front of every POST route: the method check, then
+// decodeStrict into v. On failure it writes the error reply and reports
+// false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
+		return false
+	}
+	if err := decodeStrict(r, v); err != nil {
+		s.writeError(w, err)
+		return false
+	}
+	return true
+}
+
+// decodePlan reads a PlanRequest body into a validated spec for the plan
+// routes. On failure it writes the error reply and reports false.
+func (s *Server) decodePlan(w http.ResponseWriter, r *http.Request) (transfusion.RunSpec, bool) {
+	var req PlanRequest
+	if !s.decodeBody(w, r, &req) {
+		return transfusion.RunSpec{}, false
+	}
+	spec, err := s.planSpec(req)
+	if err != nil {
+		s.writeError(w, err)
+		return spec, false
+	}
+	return spec, true
+}
+
+// planSpec checks req against the server limits and converts it to the spec
+// it names; wireRequest is its inverse.
+func (s *Server) planSpec(req PlanRequest) (transfusion.RunSpec, error) {
+	if err := s.validateLimits(req.SeqLen, req.SearchBudget); err != nil {
+		return transfusion.RunSpec{}, err
+	}
+	return transfusion.RunSpec{
+		Arch: req.Arch, Model: req.Model, SeqLen: req.SeqLen, System: req.System,
+		Batch: req.Batch, SearchBudget: req.SearchBudget, Causal: req.Causal,
+	}, nil
+}
+
 // validateLimits enforces the server-side bounds before any evaluation work —
 // including before the cache key is computed, so out-of-range values can never
 // reach (and fragment) the plan cache.
@@ -553,10 +563,9 @@ func (s *Server) applyLadder(spec transfusion.RunSpec) (transfusion.RunSpec, str
 	}
 }
 
-// Plan-source labels for the X-Plan-Source response header: which tier of
-// the memory -> disk -> peer -> search stack answered. "peer-warm" is the
-// hybrid: a peer fetch missed, but its miss body carried the owner's nearest
-// stored recipe and the local search started from it.
+// Plan-source labels for the X-Plan-Source response header and the body's
+// source field (client.PlanResponse.Source describes each): which tier
+// answered.
 const (
 	sourceMemory   = "memory"
 	sourceDisk     = "disk"
@@ -566,86 +575,74 @@ const (
 	sourceSearch   = "search"
 )
 
-// sourceOf maps a doEval outcome onto a plan-source label: cached means the
-// in-memory cache answered inside Do (the entry landed between the peek and
-// the call, or the degraded key was already cached); anything else waited on
-// an evaluation.
-func sourceOf(cached bool) string {
-	if cached {
-		return sourceMemory
-	}
-	return sourceSearch
+// resolution is the outcome of resolving one spec, labelled once: the
+// result, whether a cache tier answered without waiting on any evaluation,
+// the canonical key it was served under, the effective degradation mode (""
+// for a full-fidelity answer) and the tier that answered.
+type resolution struct {
+	res    transfusion.RunResult
+	cached bool
+	key    string
+	mode   string
+	source string
 }
 
-// evalPlan resolves one spec through the ladder/cache/store/cluster/
-// admission stack, returning the result, whether it came from a cache tier
-// without waiting on any evaluation, the canonical key it was served under,
-// the degradation mode ("" for a full-fidelity answer), and the tier that
-// answered (memory|disk|peer|warm-search|search). reqCtx bounds only this
-// caller's wait; the evaluation itself runs under the server's own deadline
-// so a disconnecting client cannot kill coalesced peers, and its result is
-// cached for the retry even if nobody is left to read it. allowPeer gates
-// the cluster tier: the internal peer-fetch handler clears it so a fetch can
-// never re-forward (two replicas that momentarily disagree about ownership
-// during a topology change must degrade to local work, not loop).
+// resolvePlan resolves one spec through the tiers in order: the exact tiers
+// (memory, then disk), the degradation ladder, the cluster (a peer forward
+// or a remap fetch), the warm tier, and the search under the watchdog. Each
+// tier sets the source where it answers. reqCtx bounds only this caller's
+// wait; the evaluation itself runs under the server's own deadline so a
+// disconnecting client cannot kill coalesced peers, and its result is cached
+// for the retry even if nobody is left to read it. allowPeer gates the
+// cluster's forward route: the internal peer-fetch handler clears it so a
+// fetch can never re-forward (two replicas that momentarily disagree about
+// ownership during a topology change must degrade to local work, not loop).
+//
+// Degradation is settled here, once: the returned mode is the ladder or
+// watchdog mode, else degradeSearch when the evaluation itself came back
+// Degraded, and a result served degraded by the ladder or the watchdog
+// carries its Degraded/DegradedReason stamp. Handlers only put the mode on
+// the wire (markDegradedResponse).
 //
 // When the request carries a trace, the resolution gets a "plan.resolve"
 // span annotated with the outcome — which tier answered, the cache key, and
 // the degradation mode — so a slow or degraded response is attributable at a
 // glance in /debug/requests.
-func (s *Server) evalPlan(reqCtx context.Context, spec transfusion.RunSpec, allowPeer bool) (transfusion.RunResult, bool, string, string, string, error) {
-	ctx, sp := obs.StartSpan(reqCtx, "plan.resolve")
-	res, cached, key, mode, source, err := s.resolvePlan(ctx, spec, allowPeer)
-	if sp != nil {
-		sp.SetAttr("key", key)
-		sp.SetAttr("source", source)
-		sp.SetAttrBool("cached", cached)
-		if mode != "" {
-			sp.SetAttr("degrade_mode", mode)
-			sp.MarkDegraded()
+func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, allowPeer bool) (r resolution, err error) {
+	reqCtx, sp := obs.StartSpan(reqCtx, "plan.resolve")
+	defer func() {
+		if err == nil && r.mode == "" && r.res.Degraded {
+			// The evaluation degraded internally (search timeout, budget
+			// exhaustion, infeasible space — or an injected search fault).
+			r.mode = degradeSearch
+		} else if err == nil && r.mode != "" && !r.res.Degraded {
+			r.res.Degraded = true
+			r.res.DegradedReason = "served degraded under load (" + r.mode + " tier)"
 		}
-		sp.EndErr(err)
-	}
-	return res, cached, key, mode, source, err
-}
+		if sp != nil {
+			sp.SetAttr("key", r.key)
+			sp.SetAttr("source", r.source)
+			sp.SetAttrBool("cached", r.cached)
+			if r.mode != "" {
+				sp.SetAttr("degrade_mode", r.mode)
+				sp.MarkDegraded()
+			}
+			sp.EndErr(err)
+		}
+	}()
 
-// resolvePlan is evalPlan's body; see there for the contract.
-func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, allowPeer bool) (transfusion.RunResult, bool, string, string, string, error) {
 	fullKey := spec.CanonicalKey()
-	// Peek the full-fidelity cache before consulting the ladder: a complete
-	// cached answer beats a freshly computed degraded one at any load.
-	_, memSp := obs.StartSpan(reqCtx, "cache.memory")
-	res, ok := s.cache.Get(fullKey)
-	memSp.SetAttrBool("hit", ok)
-	memSp.End()
-	if ok {
-		return res, true, fullKey, "", sourceMemory, nil
+	r.key = fullKey
+	// The exact tiers come before the ladder: a complete stored answer beats
+	// a freshly computed degraded one at any load.
+	if res, source, ok := s.exactTier(reqCtx, fullKey); ok {
+		r.res, r.cached, r.source = res, true, source
+		return r, nil
 	}
-	spec, mode := s.applyLadder(spec)
-	if sp := obs.SpanFromContext(reqCtx); sp != nil && mode != "" {
-		sp.SetAttr("ladder_mode", mode)
-	}
-	key := fullKey
-	if mode != "" {
-		key = spec.CanonicalKey()
-	}
-
-	// Disk tier: only full-fidelity keys can hit — degraded results are never
-	// persisted, so a ladder-rewritten key cannot exist on disk. A hit is
-	// promoted into the memory cache so the next request skips the disk.
-	// Every store failure (read fault, torn record, injected chaos) reports a
-	// clean miss and the request falls through to search. The store's own
-	// "store.read" span (it inherits the request span through diskCtx)
-	// carries the lookup's duration and error, so injected disk latency and
-	// faults are attributed to this tier in the trace.
-	if s.store != nil && mode == "" {
-		diskCtx, cancel := s.boundDiskCtx(reqCtx)
-		res, ok := s.store.Get(diskCtx, fullKey)
-		cancel()
-		if ok {
-			s.cache.Put(fullKey, res)
-			return res, true, fullKey, "", sourceDisk, nil
-		}
+	spec, r.mode = s.applyLadder(spec)
+	if r.mode != "" {
+		sp.SetAttr("ladder_mode", r.mode)
+		r.key = spec.CanonicalKey()
 	}
 
 	// Peer tier: the consistent-hash ring names one replica the key's owner;
@@ -654,15 +651,12 @@ func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, a
 	// compute-at-most-once resource cluster-wide. Any failure — partition,
 	// dead or draining owner, owner under load, injected chaos — falls
 	// through to the local search tiers below: the cluster is a work-sharing
-	// optimisation, never a correctness or availability dependency. A
-	// fetched plan fills the local memory cache and, asynchronously, the
-	// local disk tier. Owners refuse to ship degraded results (503), and a
-	// degraded body that arrives anyway is discarded, so degraded plans
-	// cannot cross replicas. Degraded (ladder-rewritten) requests and specs
-	// not expressible on the wire never forward.
+	// optimisation, never a correctness or availability dependency. Degraded
+	// (ladder-rewritten) requests and specs not expressible on the wire never
+	// forward.
 	//
 	// When this replica owns the key itself but the ring generation just
-	// moved ownership here, the remap path runs instead: one cache-only
+	// moved ownership here, the remap route runs instead: one cache-only
 	// fetch from the previous generation's owner, so a membership change
 	// costs at most one extra peer hop — not a cluster-wide re-search of
 	// every remapped key. The remap fetch is deliberately not gated on
@@ -673,27 +667,24 @@ func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, a
 	// stored recipe (peerHint); the warm tier below seeds the local search
 	// from it.
 	var peerHint *transfusion.PlanSummary
-	if cl := s.cfg.Cluster; cl != nil && mode == "" && !spec.HeuristicOnly &&
+	if cl := s.cfg.Cluster; cl != nil && r.mode == "" && !spec.HeuristicOnly &&
 		!s.draining.Load() && peerForwardable(spec) {
+		ok := false
 		switch owner := cl.Owner(fullKey); {
 		case owner != "" && !cl.IsSelf(owner) && allowPeer:
-			res, hint, ok := s.peerFetch(reqCtx, owner, spec, fullKey)
-			if ok {
-				return res, false, fullKey, "", sourcePeer, nil
-			}
-			peerHint = hint
+			r.res, peerHint, ok = s.peerFetch(reqCtx, forwardRoute, owner, spec, fullKey)
 		case owner != "" && cl.IsSelf(owner):
 			if prev := cl.PrevOwner(fullKey); prev != "" && cl.CanFetch(prev) {
-				res, hint, ok := s.remapFetch(reqCtx, prev, spec, fullKey)
-				if ok {
-					return res, false, fullKey, "", sourcePeer, nil
-				}
-				peerHint = hint
+				r.res, peerHint, ok = s.peerFetch(reqCtx, remapRoute, prev, spec, fullKey)
 			}
+		}
+		if ok {
+			r.source = sourcePeer
+			return r, nil
 		}
 	}
 
-	// Warm tier: both exact tiers missed, so seed the search from the nearest
+	// Warm tier: the exact tiers missed, so seed the search from the nearest
 	// stored plan in the same workload family (same arch/model/system and
 	// knobs, closest seq_len). The hint rides inside the spec — it is
 	// excluded from the canonical key, so the result still lands in the
@@ -703,90 +694,113 @@ func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, a
 	// started from. Degraded records are never persisted, so a hint can never
 	// carry degraded fidelity; heuristic-only requests run no search and have
 	// nothing to warm.
-	warmed := false
-	warmSrc := sourceWarm
-	if peerHint != nil && mode == "" && !spec.HeuristicOnly {
+	r.source = sourceSearch
+	switch {
+	case peerHint != nil:
 		// A replica-aware warm hint from the failed peer fetch above beats
 		// consulting the local store: the remote owner's nearest neighbour is
 		// at least as close as ours (it owned this key family), and using it
 		// skips the local store lookup and its record read.
-		spec.WarmHint = peerHint
-		warmed = true
-		warmSrc = sourcePeerWarm
+		spec.WarmHint, r.source = peerHint, sourcePeerWarm
 		s.reg.Counter("serve.peer.warm_hints").Inc()
-		if sp := obs.SpanFromContext(reqCtx); sp != nil {
-			sp.SetAttr("warm_from", "peer")
-		}
-	} else if s.store != nil && mode == "" && !spec.HeuristicOnly {
+		sp.SetAttr("warm_from", "peer")
+	case s.store != nil && r.mode == "" && !spec.HeuristicOnly:
 		diskCtx, cancel := s.boundDiskCtx(reqCtx)
 		ne, ok := s.store.Nearest(diskCtx, fullKey)
 		cancel()
 		if ok && ne.Result.Plan != nil {
-			spec.WarmHint = ne.Result.Plan
-			warmed = true
+			spec.WarmHint, r.source = ne.Result.Plan, sourceWarm
 			s.reg.Counter("serve.warm_hits").Inc()
-			if sp := obs.SpanFromContext(reqCtx); sp != nil {
-				sp.SetAttr("warm_from", ne.Key)
-			}
+			sp.SetAttr("warm_from", ne.Key)
 		}
 	}
-	// src maps a doEval outcome to the plan-source label, distinguishing a
-	// warm-seeded evaluation (and which side supplied the hint) from a cold
-	// one; a cache hit inside Do is a memory answer regardless of the hint.
-	src := func(cached bool) string {
-		if !cached && warmed {
-			return warmSrc
-		}
-		return sourceOf(cached)
-	}
 
-	if s.cfg.WatchdogTimeout <= 0 {
-		res, cached, err := s.doEval(reqCtx, spec, key)
-		return res, cached, key, mode, src(cached), err
+	if s.cfg.WatchdogTimeout > 0 {
+		err = s.watchedEval(reqCtx, spec, &r)
+	} else {
+		r.res, r.cached, err = s.doEval(reqCtx, spec, r.key)
 	}
+	if r.cached {
+		// The cache answered inside Do (the entry landed between the exact
+		// tiers and the call, or the degraded key was already cached): a
+		// memory answer, whatever seeded the spec.
+		r.source = sourceMemory
+	}
+	return r, err
+}
 
+// exactTier answers key from the exact tiers: the memory cache, then the
+// disk tier, whose hit is promoted into memory so the next request skips the
+// disk. Every store failure (read fault, torn record, injected chaos)
+// reports a clean miss. The store's own "store.read" span (it inherits the
+// request span through diskCtx) carries the lookup's duration and error, so
+// injected disk latency and faults are attributed to this tier in the trace.
+func (s *Server) exactTier(ctx context.Context, key string) (transfusion.RunResult, string, bool) {
+	_, memSp := obs.StartSpan(ctx, "cache.memory")
+	res, ok := s.cache.Get(key)
+	memSp.SetAttrBool("hit", ok)
+	memSp.End()
+	if ok {
+		return res, sourceMemory, true
+	}
+	if s.store == nil {
+		return res, "", false
+	}
+	diskCtx, cancel := s.boundDiskCtx(ctx)
+	res, ok = s.store.Get(diskCtx, key)
+	cancel()
+	if !ok {
+		return res, "", false
+	}
+	s.cache.Put(key, res)
+	return res, sourceDisk, true
+}
+
+// watchedEval runs the evaluation for r.key under the watchdog, filling r.
+// If the evaluation outlasts WatchdogTimeout, it serves a heuristic-only
+// answer instead of letting the caller ride the request deadline into a 504.
+// The stuck evaluation keeps running in the background, bounded by
+// RequestTimeout, and lands in the cache under its own key if it ever
+// completes.
+func (s *Server) watchedEval(reqCtx context.Context, spec transfusion.RunSpec, r *resolution) error {
 	type evalOut struct {
 		res    transfusion.RunResult
 		cached bool
 		err    error
 	}
 	done := make(chan evalOut, 1)
+	key := r.key
 	go func() {
-		r, c, err := s.doEval(reqCtx, spec, key)
-		done <- evalOut{res: r, cached: c, err: err}
+		res, cached, err := s.doEval(reqCtx, spec, key)
+		done <- evalOut{res: res, cached: cached, err: err}
 	}()
-	watchdog := time.NewTimer(s.cfg.WatchdogTimeout)
-	defer watchdog.Stop()
+	// A heuristic-only evaluation already is the fallback; there is nothing
+	// cheaper to step down to, so it is ridden out (a nil channel never
+	// fires).
+	var fired <-chan time.Time
+	if !spec.HeuristicOnly {
+		watchdog := time.NewTimer(s.cfg.WatchdogTimeout)
+		defer watchdog.Stop()
+		fired = watchdog.C
+	}
 	select {
 	case o := <-done:
-		return o.res, o.cached, key, mode, src(o.cached), o.err
+		r.res, r.cached = o.res, o.cached
+		return o.err
 	case <-reqCtx.Done():
-		return transfusion.RunResult{}, false, key, mode, sourceSearch, faults.Canceled(reqCtx)
-	case <-watchdog.C:
+		r.source = sourceSearch
+		return faults.Canceled(reqCtx)
+	case <-fired:
 	}
-	if spec.HeuristicOnly {
-		// The stuck evaluation already is the heuristic-only fallback; there
-		// is nothing cheaper to step down to, so ride it out.
-		select {
-		case o := <-done:
-			return o.res, o.cached, key, mode, src(o.cached), o.err
-		case <-reqCtx.Done():
-			return transfusion.RunResult{}, false, key, mode, sourceSearch, faults.Canceled(reqCtx)
-		}
-	}
-	// Watchdog fired: serve a heuristic-only answer now instead of letting
-	// the caller ride the request deadline into a 504. The stuck evaluation
-	// keeps running in the background, bounded by RequestTimeout, and lands
-	// in the cache under its own key if it ever completes. The fallback
-	// bypasses admission deliberately — the pool's slots may be wedged by the
-	// very evaluations the watchdog is routing around, and the heuristic path
-	// is bounded, cheap work.
+	// The fallback bypasses admission deliberately — the pool's slots may be
+	// wedged by the very evaluations the watchdog is routing around, and the
+	// heuristic path is bounded, cheap work.
 	s.reg.Counter("serve.watchdog_fires").Inc()
 	obs.SpanFromContext(reqCtx).Event("watchdog.fired")
-	fspec := spec
+	fspec := spec // the stuck evaluation still reads spec
 	fspec.HeuristicOnly = true
-	fkey := fspec.CanonicalKey()
-	wdRes, wdCached, err := s.cache.Do(reqCtx, fkey, true, func() (transfusion.RunResult, error) {
+	r.key, r.source = fspec.CanonicalKey(), sourceSearch
+	res, cached, err := s.cache.Do(reqCtx, r.key, true, func() (transfusion.RunResult, error) {
 		evalCtx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
 		defer cancel()
 		var wdSp *obs.Span
@@ -794,14 +808,15 @@ func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, a
 			evalCtx = obs.ContextWithSpan(evalCtx, sp)
 			evalCtx, wdSp = obs.StartSpan(evalCtx, "plan.watchdog_rescue")
 		}
-		r, err := transfusion.RunContext(evalCtx, fspec)
+		res, err := transfusion.RunContext(evalCtx, fspec)
 		wdSp.EndErr(err)
-		return r, err
+		return res, err
 	})
 	if err != nil {
-		return transfusion.RunResult{}, false, fkey, mode, sourceSearch, err
+		return err
 	}
-	return wdRes, wdCached, fkey, degradeWatchdog, sourceOf(wdCached), nil
+	r.res, r.cached, r.mode = res, cached, degradeWatchdog
+	return nil
 }
 
 // boundDiskCtx derives the context for an on-request-path disk read: the
@@ -851,87 +866,80 @@ func hintFrom(err error) *transfusion.PlanSummary {
 	return nil
 }
 
-// peerFetch asks the key's owner for the plan over the internal peer RPC,
-// returning (result, nil, true) on a usable full-fidelity answer. It runs
-// under its own timeout derived from the server's base context — like the
-// disk tier, it must not consume the whole request deadline, and it must
-// carry the chaos injector so the serve.peer.fetch site can strike. The
-// bound is the cluster's per-peer timeout: flat normally, clamped down by
-// the prober's latency EWMA for a peer known to be running slow. The
-// fetched result fills the local memory cache immediately and the local
-// disk tier asynchronously (off the request path), so subsequent requests
-// for the key on this replica answer locally. On any failure it reports
-// (zero, hint, false) — hint carrying the owner's nearest stored recipe
-// when the refusal included one — and the caller falls through to local
-// search: serve.peer.hits + serve.peer.fallbacks always sums to
-// serve.peer.forwards.
-func (s *Server) peerFetch(reqCtx context.Context, owner string, spec transfusion.RunSpec, fullKey string) (transfusion.RunResult, *transfusion.PlanSummary, bool) {
-	s.reg.Counter("serve.peer.forwards").Inc()
-	cl := s.cfg.Cluster
-	ctx, cancel := context.WithTimeout(s.baseCtx, cl.PeerTimeout(owner))
-	defer cancel()
-	if sp := obs.SpanFromContext(reqCtx); sp != nil {
-		ctx = obs.ContextWithSpan(ctx, sp)
-	}
-	ctx, sp := obs.StartSpan(ctx, "cluster.fetch")
-	sp.SetAttr("owner", owner)
-	var resp *client.PlanResponse
-	err := chaos.SiteFrom(ctx, chaos.SiteServePeerFetch).Strike(ctx)
-	if err == nil {
-		resp, err = cl.Fetch(ctx, owner, wireRequest(spec))
-	}
-	if err == nil && resp.Result.Degraded {
-		// Owners answer 503 rather than ship a degraded plan; a body that
-		// carries one anyway (a version-skewed or misbehaving peer) is
-		// treated as a failed fetch so it can never enter a local cache.
-		err = faults.Invalidf("serve: peer %s returned a degraded result", owner)
-	}
-	if err != nil {
-		s.reg.Counter("serve.peer.fallbacks").Inc()
-		sp.EndErr(err)
-		return transfusion.RunResult{}, hintFrom(err), false
-	}
-	s.reg.Counter("serve.peer.hits").Inc()
-	sp.SetAttr("peer_source", resp.Source)
-	sp.End()
-	s.cache.Put(fullKey, resp.Result)
-	s.storeFillAsync(ctx, fullKey, resp.Result)
-	return resp.Result, nil, true
+// peerRoute is one of the two cluster fetches: its span, the span attribute
+// naming the peer, whether it asks the peer's caches only, and its counters
+// (one per attempt, one per adopted plan, and — on the forward route — one
+// per fallback, so serve.peer.hits + serve.peer.fallbacks always sums to
+// serve.peer.forwards).
+type peerRoute struct {
+	span, peerAttr            string
+	cachedOnly                bool
+	attempts, hits, fallbacks string
 }
 
-// remapFetch is the one-hop previous-owner protocol: this replica owns
-// fullKey under the current ring generation, but the previous generation's
-// ring named prev the owner — so prev's caches, not a local search, are the
-// cheapest place the plan can be. One cache-only fetch (the remote side
-// never searches or forwards on that route) either adopts the plan here or
-// falls through to the local search, converting a membership change into at
-// most one extra peer hop per key instead of a cold-search stampede. After
-// the first hop the plan (fetched or searched) is in the local cache, so
-// the hop never repeats for the key. Counters: cluster.remap.fetches per
-// attempt, cluster.remap.hits per adopted plan.
-func (s *Server) remapFetch(reqCtx context.Context, prev string, spec transfusion.RunSpec, fullKey string) (transfusion.RunResult, *transfusion.PlanSummary, bool) {
-	s.reg.Counter("cluster.remap.fetches").Inc()
+var (
+	// forwardRoute asks the key's owner to resolve it (/v1/peer/plan).
+	forwardRoute = peerRoute{
+		span: "cluster.fetch", peerAttr: "owner",
+		attempts: "serve.peer.forwards", hits: "serve.peer.hits", fallbacks: "serve.peer.fallbacks",
+	}
+	// remapRoute is the one-hop previous-owner protocol (/v1/peer/cached):
+	// this replica owns the key under the current ring generation, but the
+	// previous generation's owner's caches, not a local search, are the
+	// cheapest place the plan can be. The remote side never searches or
+	// forwards on that route, and after the first hop the plan (fetched or
+	// searched) is in the local cache, so the hop never repeats for the key.
+	remapRoute = peerRoute{
+		span: "cluster.remap", peerAttr: "prev_owner", cachedOnly: true,
+		attempts: "cluster.remap.fetches", hits: "cluster.remap.hits",
+	}
+)
+
+// peerFetch fetches fullKey's plan from peer over rt, returning (result,
+// nil, true) on a usable full-fidelity answer. It runs under its own timeout
+// derived from the server's base context — like the disk tier, it must not
+// consume the whole request deadline, and it must carry the chaos injector
+// so the serve.peer.fetch site can strike. The bound is the cluster's
+// per-peer timeout: flat normally, clamped down by the prober's latency EWMA
+// for a peer known to be running slow. The fetched result fills the local
+// memory cache immediately and the local disk tier asynchronously (off the
+// request path), so subsequent requests for the key on this replica answer
+// locally. On any failure it reports (zero, hint, false) — hint carrying the
+// peer's nearest stored recipe when its refusal included one — and the
+// caller falls through to local search.
+func (s *Server) peerFetch(reqCtx context.Context, rt peerRoute, peer string, spec transfusion.RunSpec, fullKey string) (transfusion.RunResult, *transfusion.PlanSummary, bool) {
+	s.reg.Counter(rt.attempts).Inc()
 	cl := s.cfg.Cluster
-	ctx, cancel := context.WithTimeout(s.baseCtx, cl.PeerTimeout(prev))
+	ctx, cancel := context.WithTimeout(s.baseCtx, cl.PeerTimeout(peer))
 	defer cancel()
 	if sp := obs.SpanFromContext(reqCtx); sp != nil {
 		ctx = obs.ContextWithSpan(ctx, sp)
 	}
-	ctx, sp := obs.StartSpan(ctx, "cluster.remap")
-	sp.SetAttr("prev_owner", prev)
+	ctx, sp := obs.StartSpan(ctx, rt.span)
+	sp.SetAttr(rt.peerAttr, peer)
 	var resp *client.PlanResponse
 	err := chaos.SiteFrom(ctx, chaos.SiteServePeerFetch).Strike(ctx)
 	if err == nil {
-		resp, err = cl.FetchCached(ctx, prev, wireRequest(spec))
+		if rt.cachedOnly {
+			resp, err = cl.FetchCached(ctx, peer, wireRequest(spec))
+		} else {
+			resp, err = cl.Fetch(ctx, peer, wireRequest(spec))
+		}
 	}
 	if err == nil && resp.Result.Degraded {
-		err = faults.Invalidf("serve: peer %s returned a degraded result", prev)
+		// Peers answer 503 rather than ship a degraded plan; a body that
+		// carries one anyway (a version-skewed or misbehaving peer) is
+		// treated as a failed fetch so it can never enter a local cache.
+		err = faults.Invalidf("serve: peer %s returned a degraded result", peer)
 	}
 	if err != nil {
+		if rt.fallbacks != "" {
+			s.reg.Counter(rt.fallbacks).Inc()
+		}
 		sp.EndErr(err)
 		return transfusion.RunResult{}, hintFrom(err), false
 	}
-	s.reg.Counter("cluster.remap.hits").Inc()
+	s.reg.Counter(rt.hits).Inc()
 	sp.SetAttr("peer_source", resp.Source)
 	sp.End()
 	s.cache.Put(fullKey, resp.Result)
@@ -1088,35 +1096,27 @@ func (s *Server) doEval(reqCtx context.Context, spec transfusion.RunSpec, key st
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
-		return
-	}
 	start := time.Now()
-	var req PlanRequest
-	if err := decodeStrict(r, &req); err != nil {
-		s.writeError(w, err)
+	spec, ok := s.decodePlan(w, r)
+	if !ok {
 		return
 	}
-	if err := s.validateLimits(req.SeqLen, req.SearchBudget); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	spec := transfusion.RunSpec{
-		Arch: req.Arch, Model: req.Model, SeqLen: req.SeqLen, System: req.System,
-		Batch: req.Batch, SearchBudget: req.SearchBudget, Causal: req.Causal,
-	}
-	res, cached, key, mode, source, err := s.evalPlan(r.Context(), spec, true)
+	res, err := s.resolvePlan(r.Context(), spec, true)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	w.Header().Set("X-Plan-Source", source)
-	s.markDegraded(r.Context(), w, &res, mode)
+	s.markDegradedResponse(r.Context(), w, res.mode)
 	s.noteSuccess()
+	writePlan(w, res, start)
+}
+
+// writePlan answers a plan route with one resolution: the X-Plan-Source
+// header and the PlanResponse body.
+func writePlan(w http.ResponseWriter, res resolution, start time.Time) {
+	w.Header().Set("X-Plan-Source", res.source)
 	writeJSON(w, http.StatusOK, PlanResponse{
-		Result: res, Cached: cached, Key: key, Source: source,
+		Result: res.res, Cached: res.cached, Key: res.key, Source: res.source,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
 	})
 }
@@ -1124,7 +1124,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 // handlePeerPlan answers the internal peer-fetch route (/v1/peer/plan): a
 // sibling replica that does not own a key forwards the request here so this
 // replica's singleflight computes the plan once for the whole cluster. The
-// contract differs from /v1/plan in two ways. First, evalPlan runs with
+// contract differs from /v1/plan in two ways. First, resolvePlan runs with
 // allowPeer=false — an owner never re-forwards, so topology disagreement
 // during a membership change can bounce a request at most once. Second,
 // degraded results never cross replicas: while draining, while the local
@@ -1133,50 +1133,31 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 // degraded plan in a peer response would otherwise be cached remotely and
 // outlive the load spike that caused it.
 func (s *Server) handlePeerPlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
-		return
-	}
 	start := time.Now()
-	var req PlanRequest
-	if err := decodeStrict(r, &req); err != nil {
-		s.writeError(w, err)
+	spec, ok := s.decodePlan(w, r)
+	if !ok {
 		return
 	}
-	if err := s.validateLimits(req.SeqLen, req.SearchBudget); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	spec := transfusion.RunSpec{
-		Arch: req.Arch, Model: req.Model, SeqLen: req.SeqLen, System: req.System,
-		Batch: req.Batch, SearchBudget: req.SearchBudget, Causal: req.Causal,
-	}
-	fullKey := spec.CanonicalKey()
 	if s.draining.Load() {
-		s.peerRefuse(w, r.Context(), fullKey, faults.Overloadedf("serve: draining; peer fetches refused"))
+		s.peerRefuse(w, r.Context(), spec.CanonicalKey(), faults.Overloadedf("serve: draining; peer fetches refused"))
 		return
 	}
 	if s.degradeTier() > 0 {
-		s.peerRefuse(w, r.Context(), fullKey, faults.Overloadedf("serve: overloaded; peer fetch would degrade"))
+		s.peerRefuse(w, r.Context(), spec.CanonicalKey(), faults.Overloadedf("serve: overloaded; peer fetch would degrade"))
 		return
 	}
-	res, cached, key, mode, source, err := s.evalPlan(r.Context(), spec, false)
+	res, err := s.resolvePlan(r.Context(), spec, false)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if mode != "" || res.Degraded {
-		s.peerRefuse(w, r.Context(), fullKey, faults.Overloadedf("serve: degraded result withheld from peer fetch"))
+	if res.mode != "" {
+		s.peerRefuse(w, r.Context(), spec.CanonicalKey(), faults.Overloadedf("serve: degraded result withheld from peer fetch"))
 		return
 	}
 	s.reg.Counter("serve.peer.serves").Inc()
 	s.noteSuccess()
-	w.Header().Set("X-Plan-Source", source)
-	writeJSON(w, http.StatusOK, PlanResponse{
-		Result: res, Cached: cached, Key: key, Source: source,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
-	})
+	writePlan(w, res, start)
 }
 
 // peerRefuse answers a peer route with a refusal that still helps: alongside
@@ -1222,140 +1203,74 @@ func (s *Server) nearestHint(reqCtx context.Context, fullKey string) *transfusio
 // while draining: it is bounded read-only work, and the draining replica's
 // caches are exactly what the surviving owners need to take over its keys.
 func (s *Server) handlePeerCached(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
-		return
-	}
 	start := time.Now()
-	var req PlanRequest
-	if err := decodeStrict(r, &req); err != nil {
-		s.writeError(w, err)
+	spec, ok := s.decodePlan(w, r)
+	if !ok {
 		return
 	}
-	if err := s.validateLimits(req.SeqLen, req.SearchBudget); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	spec := transfusion.RunSpec{
-		Arch: req.Arch, Model: req.Model, SeqLen: req.SeqLen, System: req.System,
-		Batch: req.Batch, SearchBudget: req.SearchBudget, Causal: req.Causal,
-	}
-	fullKey := spec.CanonicalKey()
-	answer := func(res transfusion.RunResult, source string) {
+	key := spec.CanonicalKey()
+	if res, source, ok := s.exactTier(r.Context(), key); ok && !res.Degraded {
 		s.reg.Counter("serve.peer.cached.hits").Inc()
-		w.Header().Set("X-Plan-Source", source)
-		writeJSON(w, http.StatusOK, PlanResponse{
-			Result: res, Cached: true, Key: fullKey, Source: source,
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
-		})
-	}
-	if res, ok := s.cache.Get(fullKey); ok && !res.Degraded {
-		answer(res, sourceMemory)
+		writePlan(w, resolution{res: res, cached: true, key: key, source: source}, start)
 		return
-	}
-	if s.store != nil {
-		diskCtx, cancel := s.boundDiskCtx(r.Context())
-		res, ok := s.store.Get(diskCtx, fullKey)
-		cancel()
-		if ok && !res.Degraded {
-			s.cache.Put(fullKey, res)
-			answer(res, sourceDisk)
-			return
-		}
 	}
 	s.reg.Counter("serve.peer.cached.misses").Inc()
 	writeJSON(w, http.StatusNotFound, errorResponse{
-		Error:  "serve: no cached plan for " + fullKey,
-		Status: http.StatusNotFound, WarmHint: s.nearestHint(r.Context(), fullKey),
+		Error:  "serve: no cached plan for " + key,
+		Status: http.StatusNotFound, WarmHint: s.nearestHint(r.Context(), key),
 	})
 }
 
-// markDegraded stamps a response that was served below full fidelity: the
-// Served-Degraded header names the mode, exactly one serve.degraded.<mode>
-// counter is incremented (so the counters' sum equals the number of degraded
-// responses on the wire), and the result's Degraded/DegradedReason fields are
-// set when the ladder — rather than the evaluation itself — was the cause.
-// mode "" with an undegraded result is the full-fidelity fast path: no
-// header, no counter. A degraded response also marks the request's trace
-// degraded, which guarantees its retention in the tracer's tail-sampling
-// ring.
-func (s *Server) markDegraded(ctx context.Context, w http.ResponseWriter, res *transfusion.RunResult, mode string) {
-	if mode == "" {
-		if !res.Degraded {
-			return
-		}
-		// The evaluation degraded internally (search timeout, budget
-		// exhaustion, infeasible space — or an injected search fault).
-		mode = degradeSearch
-	}
-	if !res.Degraded {
-		res.Degraded = true
-		res.DegradedReason = "served degraded under load (" + mode + " tier)"
-	}
-	s.markDegradedResponse(ctx, w, mode)
-}
-
-// markDegradedResponse applies the on-the-wire degradation stamp shared by
-// every handler: trace marked for tail-sampling retention, Served-Degraded
-// header, and exactly one serve.degraded.<mode> counter increment per
-// response.
+// markDegradedResponse puts a response's degradation mode on the wire, once
+// per response however many resolutions stand behind it: the request's trace
+// is marked degraded (which guarantees its retention in the tracer's
+// tail-sampling ring), the Served-Degraded header names the mode, and
+// exactly one serve.degraded.<mode> counter is incremented, so the
+// counters' sum equals the number of degraded responses on the wire. mode ""
+// is the full-fidelity fast path: no header, no counter.
 func (s *Server) markDegradedResponse(ctx context.Context, w http.ResponseWriter, mode string) {
+	if mode == "" {
+		return
+	}
 	obs.SpanFromContext(ctx).MarkDegraded()
 	w.Header().Set("Served-Degraded", mode)
 	s.reg.Counter("serve.degraded." + mode).Inc()
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
-		return
-	}
 	start := time.Now()
 	var req CompareRequest
-	if err := decodeStrict(r, &req); err != nil {
-		s.writeError(w, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if err := s.validateLimits(req.SeqLen, req.SearchBudget); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	// Route each system through the same cache/admission stack as /v1/plan,
-	// so a compare shares evaluations with plans (and other compares) of the
-	// same workload.
+	// Route each system through the same tiers as /v1/plan, so a compare
+	// shares evaluations with plans (and other compares) of the same
+	// workload. The five specs share their limits, so an out-of-range
+	// request fails on the first before any evaluation.
 	resp := CompareResponse{Results: make([]transfusion.RunResult, 0, 5)}
-	degradeMode := ""
-	anyDegraded := false
+	mode := ""
 	for _, name := range transfusion.SystemNames() {
-		spec := transfusion.RunSpec{
+		spec, err := s.planSpec(PlanRequest{
 			Arch: req.Arch, Model: req.Model, SeqLen: req.SeqLen, System: name,
 			Batch: req.Batch, SearchBudget: req.SearchBudget,
+		})
+		var res resolution
+		if err == nil {
+			res, err = s.resolvePlan(r.Context(), spec, true)
 		}
-		res, cached, _, mode, _, err := s.evalPlan(r.Context(), spec, true)
 		if err != nil {
 			s.writeError(w, err)
 			return
 		}
-		if cached {
+		if res.cached {
 			resp.CachedResults++
 		}
-		if mode != "" && degradeMode == "" {
-			degradeMode = mode
+		if mode == "" {
+			mode = res.mode
 		}
-		anyDegraded = anyDegraded || res.Degraded
-		resp.Results = append(resp.Results, res)
+		resp.Results = append(resp.Results, res.res)
 	}
-	// One header and one counter per response, whatever mix of the five
-	// evaluations degraded — the counter/header invariant is per response on
-	// the wire, not per evaluation behind it.
-	if degradeMode != "" || anyDegraded {
-		if degradeMode == "" {
-			degradeMode = degradeSearch
-		}
-		s.markDegradedResponse(r.Context(), w, degradeMode)
-	}
+	s.markDegradedResponse(r.Context(), w, mode)
 	s.noteSuccess()
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
 	writeJSON(w, http.StatusOK, resp)
