@@ -75,11 +75,6 @@ type RunSpec struct {
 	// Degraded with a DegradedReason instead of failing. Cancellation of
 	// the caller's context is unaffected: it still returns ErrCanceled.
 	SearchTimeout time.Duration
-	// Progress, when set, receives typed progress events (RolloutDoneEvent,
-	// PhaseStartEvent/PhaseEndEvent, EnumerationProgressEvent,
-	// DegradedEvent) synchronously from the evaluating goroutine. It must be
-	// fast and must not block; leave nil for zero overhead.
-	Progress ProgressFunc
 	// Deprecated: ignored; evaluation is serial.
 	Parallelism int
 	// WarmHint, when non-nil, warm-starts the searches from a previously
@@ -243,11 +238,11 @@ func (s RunSpec) validate() error {
 // becomes the evaluation default; SearchBudget <= 0 the default rollout
 // budget, matching resolve, which only overrides the budget when positive),
 // so a spec that spells the default explicitly keys identically to one that
-// leaves it zero. Progress and the ignored Parallelism are deliberately
-// excluded: neither changes the result. WarmHint is excluded too: a
-// warm-started result is a full-fidelity answer for the spec — deterministic
-// given the hint and never worse than the hint's objective — so it may be
-// cached and persisted under the spec's key.
+// leaves it zero. The ignored Parallelism is deliberately excluded: it does
+// not change the result. WarmHint is excluded too: a warm-started result is
+// a full-fidelity answer for the spec — deterministic given the hint and
+// never worse than the hint's objective — so it may be cached and persisted
+// under the spec's key.
 func (s RunSpec) CanonicalKey() string {
 	batch := s.Batch
 	if batch == 0 {
@@ -269,10 +264,9 @@ func (s RunSpec) CanonicalKey() string {
 
 // ParseCanonicalKey inverts CanonicalKey: it reconstructs the RunSpec a key
 // renders from, with defaulted fields coming back normalised (Batch and
-// SearchBudget explicit) and the keyless fields (Progress, Parallelism,
-// WarmHint) zero. The boolean reports whether the key
-// parses; every true return round-trips, spec.CanonicalKey() == key. The
-// plan store uses it to group stored plans into warm-start families — the
+// SearchBudget explicit) and the keyless fields (Parallelism, WarmHint)
+// zero. The boolean reports whether the key parses; every true return
+// round-trips, spec.CanonicalKey() == key. The plan store uses it to group stored plans into warm-start families — the
 // same evaluation at different sequence lengths.
 func ParseCanonicalKey(key string) (RunSpec, bool) {
 	p := &keyParser{s: key, ok: true}
@@ -451,7 +445,6 @@ func (s RunSpec) resolve() (arch.Spec, model.Config, pipeline.System, pipeline.O
 	if s.SearchTimeout > 0 {
 		opts.TileSeekTimeout = s.SearchTimeout
 	}
-	opts.Progress = s.Progress
 	opts.SkipSearch = s.HeuristicOnly
 	opts.WarmHint = s.WarmHint.toPipeline()
 	return spec, m, sys, opts, batch, nil

@@ -325,9 +325,8 @@ func TestCanonicalKeyNormalisesDefaults(t *testing.T) {
 	// Execution knobs that cannot change the result are excluded from the key.
 	tuned := base
 	tuned.Parallelism = 4
-	tuned.Progress = func(ProgressEvent) {}
 	if base.CanonicalKey() != tuned.CanonicalKey() {
-		t.Fatal("Parallelism/Progress leaked into the canonical key")
+		t.Fatal("Parallelism leaked into the canonical key")
 	}
 
 	// Every result-affecting field must move the key.

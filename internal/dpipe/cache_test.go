@@ -51,12 +51,10 @@ func cacheKeyOf(t *testing.T, p *Problem) string {
 }
 
 // planObserved plans p under a fresh registry and records the enumeration
-// counters and the progress events the plan produced.
-func planObserved(t *testing.T, p *Problem, opts Options) (Result, map[string]int64, []obs.EnumerationProgress) {
+// counters the plan produced.
+func planObserved(t *testing.T, p *Problem, opts Options) (Result, map[string]int64) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	var events []obs.EnumerationProgress
-	opts.Progress = func(ev obs.Event) { events = append(events, ev.(obs.EnumerationProgress)) }
 	res, err := PlanContext(obs.WithMetrics(context.Background(), reg), p, arch.Cloud(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -65,32 +63,29 @@ func planObserved(t *testing.T, p *Problem, opts Options) (Result, map[string]in
 	for _, name := range []string{"dpipe.enumerated", "dpipe.bipartitions", "dpipe.candidates", "dpipe.dedup_skipped", "dpipe.dp_cells"} {
 		counts[name] = reg.Counter(name).Value()
 	}
-	return res, counts, events
+	return res, counts
 }
 
 // The first plan of a shape enumerates and fills the cache; the second is
-// served from it and must be indistinguishable: the same result, counters
-// and progress event — with and without a warm hint on top.
+// served from it and must be indistinguishable: the same result and
+// counters — with and without a warm hint on top.
 func TestCandidateCacheHitMatchesMiss(t *testing.T) {
 	p := renamed(mhaProblem(t, 16), "hitmiss.")
 	key := cacheKeyOf(t, p)
 	if cachedEnumeration(key) != nil {
 		t.Fatal("fresh shape already cached")
 	}
-	miss, missCounts, missEvents := planObserved(t, p, DefaultOptions())
+	miss, missCounts := planObserved(t, p, DefaultOptions())
 	if cachedEnumeration(key) == nil {
 		t.Fatal("a complete enumeration was not cached")
 	}
 	ResetFronts() // an enumeration hit that still sweeps every candidate
-	hit, hitCounts, hitEvents := planObserved(t, p, DefaultOptions())
+	hit, hitCounts := planObserved(t, p, DefaultOptions())
 	if !reflect.DeepEqual(hit, miss) {
 		t.Fatalf("cached plan diverged:\nhit  %+v\nmiss %+v", hit, miss)
 	}
 	if !reflect.DeepEqual(hitCounts, missCounts) {
 		t.Fatalf("counters diverged: hit %v, miss %v", hitCounts, missCounts)
-	}
-	if !reflect.DeepEqual(hitEvents, missEvents) || len(hitEvents) != 1 {
-		t.Fatalf("progress diverged: hit %+v, miss %+v", hitEvents, missEvents)
 	}
 	if missCounts["dpipe.enumerated"] == 0 || missCounts["dpipe.bipartitions"] == 0 {
 		t.Fatalf("enumeration counters empty: %v", missCounts)
@@ -100,7 +95,7 @@ func TestCandidateCacheHitMatchesMiss(t *testing.T) {
 	// cached list exactly as against a live one.
 	warm := DefaultOptions()
 	warm.WarmHints = []Hint{{Order: miss.Order, First: miss.Bipartition.FirstSorted()}}
-	res, counts, _ := planObserved(t, p, warm)
+	res, counts := planObserved(t, p, warm)
 	if !reflect.DeepEqual(res, miss) {
 		t.Fatalf("warm cached plan diverged:\nwarm %+v\ncold %+v", res, miss)
 	}

@@ -160,10 +160,6 @@ type Options struct {
 	MaxEnumeration int
 	// Deprecated: ignored; evaluation is serial.
 	Parallelism int
-	// Progress, when non-nil, receives an obs.EnumerationProgress event
-	// after the bipartition/ordering enumeration of each plan. Leave nil to
-	// pay nothing.
-	Progress obs.ProgressFunc
 	// WarmHints, when non-empty, are previously winning (order, first-set)
 	// candidates — typically from the stored plan for the nearest sequence
 	// length. A valid hint is one more candidate: one the enumeration lacks
@@ -355,16 +351,6 @@ func planContext(ctx context.Context, p *Problem, spec arch.Spec, opts Options) 
 			}
 			list = append(list, h)
 		}
-	}
-
-	if opts.Progress != nil {
-		opts.Progress(obs.EnumerationProgress{
-			Problem:      p.Name,
-			Examined:     e.examined,
-			Budget:       opts.MaxEnumeration,
-			Bipartitions: e.explored,
-			Candidates:   len(list),
-		})
 	}
 
 	cells := reg.Counter("dpipe.dp_cells") // nil-safe on a nil registry

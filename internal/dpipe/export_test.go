@@ -1,6 +1,7 @@
 package dpipe
 
 import (
+	"context"
 	"encoding/json"
 	"sort"
 	"testing"
@@ -9,39 +10,25 @@ import (
 	"github.com/fusedmindlab/transfusion/internal/obs"
 )
 
-// PlanContext reports the enumeration it performed through the progress
-// hook: a nonzero examined count bounded by the budget, and the candidate
-// tally matching the returned plan.
-func TestPlanEmitsEnumerationProgress(t *testing.T) {
+// PlanContext reports the enumeration it performed through its counters: a
+// nonzero examined count bounded by the budget, and the candidate tally
+// matching the returned plan.
+func TestPlanCountsEnumeration(t *testing.T) {
 	p := mhaProblem(t, 8)
 	opts := DefaultOptions()
-	var events []obs.EnumerationProgress
-	opts.Progress = func(ev obs.Event) {
-		ep, ok := ev.(obs.EnumerationProgress)
-		if !ok {
-			t.Fatalf("unexpected event %T", ev)
-		}
-		events = append(events, ep)
-	}
-	plan, err := Plan(p, arch.Edge(), opts)
+	reg := obs.NewRegistry()
+	plan, err := PlanContext(obs.WithMetrics(context.Background(), reg), p, arch.Edge(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 {
-		t.Fatalf("got %d enumeration events, want 1", len(events))
+	if n := reg.Counter("dpipe.enumerated").Value(); n <= 0 || n > int64(opts.MaxEnumeration) {
+		t.Fatalf("dpipe.enumerated = %d, budget = %d", n, opts.MaxEnumeration)
 	}
-	ev := events[0]
-	if ev.Problem != p.Name {
-		t.Fatalf("event problem = %q, want %q", ev.Problem, p.Name)
+	if n := reg.Counter("dpipe.bipartitions").Value(); n <= 0 {
+		t.Fatalf("dpipe.bipartitions = %d", n)
 	}
-	if ev.Examined <= 0 || ev.Examined > ev.Budget {
-		t.Fatalf("examined = %d, budget = %d", ev.Examined, ev.Budget)
-	}
-	if ev.Bipartitions <= 0 {
-		t.Fatalf("bipartitions = %d", ev.Bipartitions)
-	}
-	if ev.Candidates != plan.Candidates {
-		t.Fatalf("event candidates = %d, plan reports %d", ev.Candidates, plan.Candidates)
+	if n := reg.Counter("dpipe.candidates").Value(); n != int64(plan.Candidates) {
+		t.Fatalf("dpipe.candidates = %d, plan reports %d", n, plan.Candidates)
 	}
 }
 

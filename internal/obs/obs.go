@@ -1,11 +1,11 @@
 // Package obs is the zero-dependency observability core: a context-threaded
 // structured logger (log/slog), an atomic metrics registry with text/JSON
-// exposition, typed search-progress events, and a Chrome trace_event writer.
+// exposition, request spans, and a Chrome trace_event writer.
 //
 // Everything in this package is built around one constraint: the two hot
 // search loops (TileSeek's MCTS rollouts and DPipe's DP inner loop) must pay
 // nothing when observability is not configured. The package therefore leans
-// on three idioms:
+// on two idioms:
 //
 //   - the logger and the metrics registry travel in the context.Context;
 //     LoggerFrom returns a disabled logger (never nil) and MetricsFrom
@@ -13,10 +13,7 @@
 //   - every instrument (*Counter, *Gauge, *Histogram) and the *Registry
 //     itself are nil-receiver safe, so a hot loop fetches its counters once
 //     up front and increments unconditionally — a nil counter increment is a
-//     single predicted branch, no allocation;
-//   - progress hooks are plain funcs guarded at the call site
-//     (`if hook != nil { hook(ev) }`), so the event struct is never boxed
-//     into an interface when nobody listens.
+//     single predicted branch, no allocation.
 package obs
 
 import (

@@ -65,8 +65,7 @@ func TestParseLevel(t *testing.T) {
 }
 
 // The unconfigured paths must not allocate: hot loops increment nil
-// instruments, consult the disabled logger, and skip nil hooks on every
-// rollout and DP cell.
+// instruments and consult the disabled logger on every rollout and DP cell.
 func TestUnconfiguredPathsDoNotAllocate(t *testing.T) {
 	ctx := context.Background()
 
@@ -89,18 +88,6 @@ func TestUnconfiguredPathsDoNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("disabled logger guard allocates: %v allocs/op", n)
 	}
-
-	// The call-site idiom for progress hooks: with a nil hook the event
-	// struct must never be constructed or boxed.
-	var hook ProgressFunc
-	best := 12.5
-	if n := testing.AllocsPerRun(100, func() {
-		if hook != nil {
-			hook(RolloutDone{Iteration: 1, Budget: 2, BestCost: best, Found: true, Visits: 3})
-		}
-	}); n != 0 {
-		t.Fatalf("nil hook guard allocates: %v allocs/op", n)
-	}
 }
 
 func TestConfiguredCounterDoesNotAllocate(t *testing.T) {
@@ -109,33 +96,5 @@ func TestConfiguredCounterDoesNotAllocate(t *testing.T) {
 	c := NewRegistry().Counter("hot")
 	if n := testing.AllocsPerRun(100, func() { c.Inc() }); n != 0 {
 		t.Fatalf("live counter allocates: %v allocs/op", n)
-	}
-}
-
-func TestEmitNilSafe(t *testing.T) {
-	var hook ProgressFunc
-	hook.Emit(PhaseStart{Phase: "x"}) // must not panic
-	var got Event
-	hook = func(ev Event) { got = ev }
-	hook.Emit(PhaseStart{Phase: "y"})
-	if got == nil || got.Kind() != "phase_start" {
-		t.Fatalf("emitted event = %#v", got)
-	}
-}
-
-func TestEventKinds(t *testing.T) {
-	for _, tc := range []struct {
-		ev   Event
-		kind string
-	}{
-		{PhaseStart{}, "phase_start"},
-		{PhaseEnd{}, "phase_end"},
-		{RolloutDone{}, "rollout"},
-		{EnumerationProgress{}, "enumeration"},
-		{Degraded{}, "degraded"},
-	} {
-		if got := tc.ev.Kind(); got != tc.kind {
-			t.Fatalf("%T.Kind() = %q, want %q", tc.ev, got, tc.kind)
-		}
 	}
 }

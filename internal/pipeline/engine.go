@@ -99,12 +99,6 @@ type Options struct {
 	// its grid-cell pool (experiments.Runner.Prefetch): 0 selects
 	// GOMAXPROCS, 1 the serial path.
 	Parallelism int
-	// Progress, when non-nil, receives typed obs events during evaluation:
-	// PhaseStart/PhaseEnd around the tile search, per-rollout RolloutDone,
-	// EnumerationProgress per DPipe plan actually run (a sub-layer schedule
-	// read from the schedule memo runs none), and Degraded on heuristic
-	// fallback. The hook runs on the caller's goroutine.
-	Progress obs.ProgressFunc
 }
 
 // A warm-hinted evaluation runs TileSeek on a reduced rollout budget: the
@@ -176,9 +170,6 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 	reg := obs.MetricsFrom(ctx)
 	reg.Counter("pipeline.evaluations").Inc()
 	lg := obs.LoggerFrom(ctx)
-	if opts.DPipe.Progress == nil {
-		opts.DPipe.Progress = opts.Progress
-	}
 	ev := newEvaluator(w, spec, sys, opts)
 
 	if !sys.UseTileSeek {
@@ -205,7 +196,6 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 		res.Degraded = true
 		res.DegradedReason = "tile search skipped (heuristic-only degraded mode)"
 		reg.Counter("pipeline.degradations").Inc()
-		opts.Progress.Emit(obs.Degraded{Reason: res.DegradedReason})
 		return res, nil
 	}
 
@@ -265,12 +255,10 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 		searchCtx, cancel = context.WithTimeout(ctx, opts.TileSeekTimeout)
 		defer cancel()
 	}
-	opts.Progress.Emit(obs.PhaseStart{Phase: "tileseek"})
 	searchStart := time.Now()
 	tsOpts := tileseek.Options{
 		Iterations: opts.TileSeekIterations,
 		Seed:       opts.TileSeekSeed,
-		Progress:   opts.Progress,
 	}
 	if opts.WarmHint != nil {
 		// Copy so the search cannot alias the caller's hint.
@@ -289,7 +277,6 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 	}
 	search, serr := tileseek.SearchWithOptions(searchCtx, space, objective, tsOpts)
 	searchDur := time.Since(searchStart)
-	opts.Progress.Emit(obs.PhaseEnd{Phase: "tileseek", Duration: searchDur})
 	if reg != nil {
 		reg.Histogram("pipeline.tileseek_ms", nil).Observe(float64(searchDur.Microseconds()) / 1e3)
 	}
@@ -327,7 +314,6 @@ func EvaluateContext(ctx context.Context, w Workload, spec arch.Spec, sys System
 		res.Degraded = true
 		res.DegradedReason = degradeReason(serr)
 		reg.Counter("pipeline.degradations").Inc()
-		opts.Progress.Emit(obs.Degraded{Reason: res.DegradedReason})
 		lg.Warn("pipeline: degraded evaluation",
 			"system", sys.Name, "arch", spec.Name, "model", w.Model.Name,
 			"seq", w.SeqLen, "reason", res.DegradedReason)

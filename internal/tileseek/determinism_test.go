@@ -56,38 +56,3 @@ func TestSearchSeedDeterminismWithMetrics(t *testing.T) {
 	}
 	_ = res3 // best may legitimately coincide on a smooth landscape
 }
-
-// Progress events arrive once per rollout, in order, with a final event
-// carrying the returned best.
-func TestSearchProgressEvents(t *testing.T) {
-	s := testSpace()
-	obj := syntheticObjective(s.Workload)
-	const budget = 40
-	var events []obs.RolloutDone
-	res, err := SearchWithOptions(context.Background(), s, obj, Options{
-		Iterations: budget,
-		Seed:       7,
-		Progress: func(ev obs.Event) {
-			rd, ok := ev.(obs.RolloutDone)
-			if !ok {
-				t.Fatalf("unexpected event %T", ev)
-			}
-			events = append(events, rd)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != budget {
-		t.Fatalf("got %d rollout events, want %d", len(events), budget)
-	}
-	for i, ev := range events {
-		if ev.Iteration != i+1 || ev.Budget != budget {
-			t.Fatalf("event %d = %+v", i, ev)
-		}
-	}
-	last := events[len(events)-1]
-	if !last.Found || last.BestCost != res.BestCost {
-		t.Fatalf("final event %+v does not match result best %v", last, res.BestCost)
-	}
-}

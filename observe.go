@@ -3,8 +3,8 @@ package transfusion
 // Observability surface: the instrumentation layer lives in internal/obs;
 // this file re-exports (via type aliases) the pieces external callers need —
 // attaching a structured logger and a metrics registry to the evaluation
-// context, receiving typed progress events, and exporting DPipe schedules as
-// Chrome trace_event JSON for chrome://tracing / Perfetto.
+// context, and exporting DPipe schedules as Chrome trace_event JSON for
+// chrome://tracing / Perfetto.
 
 import (
 	"context"
@@ -19,31 +19,6 @@ import (
 	"github.com/fusedmindlab/transfusion/internal/obs"
 	"github.com/fusedmindlab/transfusion/internal/pipeline"
 	"github.com/fusedmindlab/transfusion/internal/tiling"
-)
-
-// ProgressEvent is a typed progress notification; see the concrete event
-// types for what each carries.
-type ProgressEvent = obs.Event
-
-// ProgressFunc receives progress events; set it on RunSpec.Progress. Hooks
-// run synchronously on the evaluating goroutine and must be fast. A nil hook
-// costs nothing — events are neither constructed nor boxed.
-type ProgressFunc = obs.ProgressFunc
-
-// The concrete progress event types.
-type (
-	// PhaseStartEvent marks entry into a named evaluation phase.
-	PhaseStartEvent = obs.PhaseStart
-	// PhaseEndEvent marks completion of a phase with its wall-clock time.
-	PhaseEndEvent = obs.PhaseEnd
-	// RolloutDoneEvent reports one completed TileSeek MCTS rollout.
-	RolloutDoneEvent = obs.RolloutDone
-	// EnumerationProgressEvent reports one DPipe bipartition enumeration,
-	// one per DPipe plan actually run: a sub-layer schedule read from the
-	// schedule memo emits none.
-	EnumerationProgressEvent = obs.EnumerationProgress
-	// DegradedEvent reports a fallback to the heuristic tile.
-	DegradedEvent = obs.Degraded
 )
 
 // Metrics is an atomic counters/gauges/histograms registry. Attach one to
