@@ -58,7 +58,7 @@ func (p *Pool) For(baseURL string) *Client {
 		seed = h | 1
 	}
 	opts.Seed = int64(seed)
-	c := New(key, opts)
+	c := newClient(key, opts)
 	p.clients[key] = c
 	return c
 }

@@ -69,6 +69,28 @@ func TestPoolIsolatesBreakerPerEndpoint(t *testing.T) {
 	}
 }
 
+// Options reach a pooled Client with their defaults applied once: "no
+// retries" (MaxRetries -1) must stay no retries, not be read as unset on a
+// second pass and raised to the default 3.
+func TestPoolKeepsNoRetries(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write([]byte(`{"error":"overloaded","status":503}`)) //nolint:errcheck
+	}))
+	defer ts.Close()
+
+	pool := NewPool(Options{MaxRetries: -1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond})
+	var apiErr *APIError
+	if _, err := pool.For(ts.URL).Plan(context.Background(), PlanRequest{}); !errors.As(err, &apiErr) {
+		t.Fatalf("err = %v, want the 503 *APIError", err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("server saw %d requests, want 1 (MaxRetries -1)", got)
+	}
+}
+
 // The same normalised URL always resolves to the same Client (breaker state
 // must accumulate across calls), and trailing slashes collapse.
 func TestPoolReusesClientPerURL(t *testing.T) {
