@@ -85,7 +85,6 @@ func run() error {
 	peers := flag.String("peers", "", "comma-separated base URLs of every replica, self included (e.g. 'http://a:8080,http://b:8080'; empty disables clustering)")
 	peersFile := flag.String("peers-file", "", "file listing replica base URLs, one per line (# comments allowed; alternative to -peers, re-read on SIGHUP for live membership changes)")
 	self := flag.String("self", "", "this replica's own base URL, exactly as listed in -peers (required with -peers)")
-	peerVNodes := flag.Int("peer-vnodes", 0, "virtual nodes per replica on the consistent-hash ring (0 = default)")
 	peerTimeout := flag.Duration("peer-timeout", 0, "bound on one peer plan fetch before falling back to local search (0 = default; clamped per-peer by the prober's latency EWMA)")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "base gap between health probes of one peer, jittered per probe (0 disables the prober: membership stays static)")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "bound on one health probe round-trip")
@@ -206,7 +205,6 @@ func run() error {
 		clust, err = cluster.New(cluster.Config{
 			Self:         *self,
 			Peers:        list,
-			VNodes:       *peerVNodes,
 			FetchTimeout: *peerTimeout,
 			Metrics:      metrics,
 			Probe: cluster.ProbeConfig{

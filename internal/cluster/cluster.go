@@ -26,8 +26,6 @@ type Config struct {
 	// live (the SIGHUP -peers-file path), and the prober's dead/alive
 	// verdicts exclude and readmit members without touching it.
 	Peers []string
-	// VNodes is the virtual-node count per member (<= 0 takes DefaultVNodes).
-	VNodes int
 	// FetchTimeout bounds one peer plan fetch, retries included (default 10s).
 	// On expiry the caller falls back to a local search, so this is the most
 	// extra latency a cluster miss can add to a request. PeerTimeout clamps
@@ -61,7 +59,6 @@ type Config struct {
 // by reloads and probe transitions; everything is safe for concurrent use.
 type Cluster struct {
 	self         string
-	vnodes       int
 	pool         *client.Pool
 	fetchTimeout time.Duration
 	probe        ProbeConfig
@@ -137,13 +134,8 @@ func New(cfg Config) (*Cluster, error) {
 		// be above it.
 		opts.HTTPClient = &http.Client{Timeout: cfg.FetchTimeout + 5*time.Second}
 	}
-	vnodes := cfg.VNodes
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
 	c := &Cluster{
 		self:         self,
-		vnodes:       vnodes,
 		pool:         client.NewPool(opts),
 		fetchTimeout: cfg.FetchTimeout,
 		probe:        cfg.Probe.withDefaults(),
@@ -157,7 +149,7 @@ func New(cfg Config) (*Cluster, error) {
 			c.health[p] = &memberHealth{state: StateAlive}
 		}
 	}
-	c.cur.Store(&view{ring: NewRing(vnodes, peers...), gen: 1})
+	c.cur.Store(&view{ring: NewRing(DefaultVNodes, peers...), gen: 1})
 	c.mu.Lock()
 	c.updateGaugesLocked()
 	c.mu.Unlock()

@@ -362,7 +362,7 @@ func (c *Cluster) rebuildLocked() (changed bool, gen uint64, members []string) {
 		c.updateGaugesLocked()
 		return false, old.gen, old.ring.Members()
 	}
-	v := &view{ring: NewRing(c.vnodes, live...), prev: old.ring, gen: old.gen + 1}
+	v := &view{ring: NewRing(DefaultVNodes, live...), prev: old.ring, gen: old.gen + 1}
 	c.cur.Store(v)
 	c.updateGaugesLocked()
 	return true, v.gen, v.ring.Members()

@@ -22,9 +22,11 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per member when Config.VNodes is
-// zero. 128 points per member keeps per-replica load within ±30% of fair
-// share (see TestRingBalanceWithinDocumentedBound) at negligible memory cost.
+// DefaultVNodes is the virtual-node count per member of every cluster ring.
+// Replicas must agree on it, or they disagree on key ownership, so it is a
+// constant rather than a setting. 128 points per member keeps per-replica
+// load within ±30% of fair share (see TestRingBalanceWithinDocumentedBound)
+// at negligible memory cost.
 const DefaultVNodes = 128
 
 // point is one virtual node on the ring.

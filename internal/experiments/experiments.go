@@ -16,6 +16,7 @@ import (
 
 	"github.com/fusedmindlab/transfusion/internal/arch"
 	"github.com/fusedmindlab/transfusion/internal/faults"
+	"github.com/fusedmindlab/transfusion/internal/flight"
 	"github.com/fusedmindlab/transfusion/internal/model"
 	"github.com/fusedmindlab/transfusion/internal/obs"
 	"github.com/fusedmindlab/transfusion/internal/pipeline"
@@ -25,26 +26,16 @@ import (
 
 // Runner evaluates systems with caching. It is safe for concurrent use:
 // concurrent Evals of the same cell coalesce into one evaluation
-// (singleflight), so Prefetch workers and the experiment's own loop never
+// (a flight.Cache), so Prefetch workers and the experiment's own loop never
 // duplicate work.
 type Runner struct {
 	Opts  pipeline.Options
 	ctx   context.Context
+	cache *flight.Cache[pipeline.Result]
 	mu    sync.Mutex
-	cache map[string]pipeline.Result
-	// inflight holds cells currently being evaluated; latecomers wait on the
-	// call instead of re-evaluating.
-	inflight map[string]*evalCall
 	// notes records degraded evaluations ("key: reason"), one line per
 	// evaluated (not cache-hit) cell, for surfacing in experiment output.
 	notes []string
-}
-
-// evalCall is one in-flight evaluation joiners can wait on.
-type evalCall struct {
-	done chan struct{}
-	res  pipeline.Result
-	err  error
 }
 
 // NewRunner creates a Runner with the given evaluation options.
@@ -60,9 +51,7 @@ func NewRunnerContext(ctx context.Context, opts pipeline.Options) *Runner {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Runner{Opts: opts, ctx: ctx,
-		cache:    make(map[string]pipeline.Result),
-		inflight: make(map[string]*evalCall)}
+	return &Runner{Opts: opts, ctx: ctx, cache: flight.New[pipeline.Result](0, flight.Hooks{})}
 }
 
 // Eval evaluates (and caches) one system on one workload/architecture.
@@ -72,53 +61,22 @@ func (r *Runner) Eval(spec arch.Spec, m model.Config, seq int, sys pipeline.Syst
 
 func (r *Runner) eval(spec arch.Spec, m model.Config, seq int, sys pipeline.System, opts pipeline.Options) (pipeline.Result, error) {
 	key := fmt.Sprintf("%s|%s|%d|%s", spec.Name, m.Name, seq, sys.Name)
-	r.mu.Lock()
-	if res, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		return res, nil
-	}
-	if c, ok := r.inflight[key]; ok {
-		r.mu.Unlock()
-		<-c.done
-		return c.res, c.err
-	}
-	c := &evalCall{done: make(chan struct{})}
-	r.inflight[key] = c
-	r.mu.Unlock()
-
-	completed := false
-	defer func() {
-		// On a panic inside the evaluation, joiners still get unblocked with
-		// an error while the panic keeps propagating to the API boundary.
-		if !completed {
-			c.err = faults.Invalidf("experiments: %s: evaluation aborted", key)
-		}
-		close(c.done)
-		r.mu.Lock()
-		delete(r.inflight, key)
-		r.mu.Unlock()
-	}()
-
 	ctx := r.Context()
-	w := pipeline.Workload{Model: m, SeqLen: seq, Batch: model.EvalBatch}
-	res, err := pipeline.EvaluateContext(ctx, w, spec, sys, opts)
-	if err != nil {
-		c.err = fmt.Errorf("experiments: %s: %w", key, err)
-		completed = true
-		return pipeline.Result{}, c.err
-	}
-	r.mu.Lock()
-	r.cache[key] = res
-	if res.Degraded {
-		r.notes = append(r.notes, fmt.Sprintf("%s: degraded: %s", key, res.DegradedReason))
-	}
-	r.mu.Unlock()
-	if res.Degraded {
-		obs.MetricsFrom(ctx).Counter("experiments.degraded").Inc()
-	}
-	c.res = res
-	completed = true
-	return res, nil
+	res, _, err := r.cache.Do(ctx, key, func() (pipeline.Result, bool, error) {
+		w := pipeline.Workload{Model: m, SeqLen: seq, Batch: model.EvalBatch}
+		res, err := pipeline.EvaluateContext(ctx, w, spec, sys, opts)
+		if err != nil {
+			return pipeline.Result{}, false, fmt.Errorf("experiments: %s: %w", key, err)
+		}
+		if res.Degraded {
+			r.mu.Lock()
+			r.notes = append(r.notes, fmt.Sprintf("%s: degraded: %s", key, res.DegradedReason))
+			r.mu.Unlock()
+			obs.MetricsFrom(ctx).Counter("experiments.degraded").Inc()
+		}
+		return res, true, nil
+	})
+	return res, err
 }
 
 // Notes returns the observations collected across this Runner's evaluations

@@ -60,8 +60,8 @@ func TestEvalCaches(t *testing.T) {
 	if a.TotalCycles != b.TotalCycles {
 		t.Fatal("cache returned different result")
 	}
-	if len(r.cache) != 1 {
-		t.Fatalf("cache size = %d", len(r.cache))
+	if r.cache.Len() != 1 {
+		t.Fatalf("cache size = %d", r.cache.Len())
 	}
 }
 

@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"log/slog"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/fusedmindlab/transfusion/internal/arch"
+	"github.com/fusedmindlab/transfusion/internal/faults"
+	"github.com/fusedmindlab/transfusion/internal/flight"
 	"github.com/fusedmindlab/transfusion/internal/model"
 	"github.com/fusedmindlab/transfusion/internal/obs"
 	"github.com/fusedmindlab/transfusion/internal/pipeline"
@@ -71,8 +76,8 @@ func TestEvalSingleflight(t *testing.T) {
 	if got := reg.Snapshot().Counters["pipeline.evaluations"]; got != 1 {
 		t.Fatalf("cell evaluated %d times, want 1", got)
 	}
-	if len(r.cache) != 1 {
-		t.Fatalf("cache size = %d, want 1", len(r.cache))
+	if r.cache.Len() != 1 {
+		t.Fatalf("cache size = %d, want 1", r.cache.Len())
 	}
 }
 
@@ -98,5 +103,62 @@ func TestPrefetchGaugeRegistered(t *testing.T) {
 	}
 	if inflight != 0 {
 		t.Fatalf("cells_inflight = %v after drain, want 0", inflight)
+	}
+}
+
+// gatedPanic is a slog handler that, on the first record logged through it,
+// signals entered, waits for gate and panics: it panics out of the first
+// evaluation logging under a Runner's context. Later records pass.
+type gatedPanic struct {
+	entered, gate chan struct{}
+	records       atomic.Int32
+}
+
+func (h *gatedPanic) Enabled(context.Context, slog.Level) bool { return true }
+func (h *gatedPanic) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *gatedPanic) WithGroup(string) slog.Handler            { return h }
+func (h *gatedPanic) Handle(context.Context, slog.Record) error {
+	if h.records.Add(1) == 1 {
+		close(h.entered)
+		<-h.gate
+		panic("evaluation bug")
+	}
+	return nil
+}
+
+// A caller that joins an evaluation which then panics gets an internal
+// error, as the leader's own recover boundary would report it, never a
+// caller-fault ErrInvalidSpec; the panic keeps propagating in the leader.
+func TestEvalSingleflightPanicGivesJoinersInternalError(t *testing.T) {
+	h := &gatedPanic{entered: make(chan struct{}), gate: make(chan struct{})}
+	opts := pipeline.DefaultOptions()
+	opts.TileSeekIterations = 4
+	r := NewRunnerContext(obs.WithLogger(context.Background(), slog.New(h)), opts)
+	joined := make(chan struct{})
+	r.cache = flight.New[pipeline.Result](0, flight.Hooks{Join: func(_, _ context.Context) func(error) {
+		close(joined)
+		return func(error) {}
+	}})
+	eval := func() error {
+		_, err := r.Eval(arch.Edge(), model.BERT(), 4096, pipeline.TransFusion())
+		return err
+	}
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		eval() //nolint:errcheck // it panics
+	}()
+	<-h.entered
+	joinErr := make(chan error, 1)
+	go func() { joinErr <- eval() }()
+	<-joined
+	close(h.gate)
+	if p := <-leaderPanic; p == nil {
+		t.Fatal("the leader's panic did not propagate")
+	}
+	err := <-joinErr
+	var ie *faults.InternalError
+	if !errors.As(err, &ie) || errors.Is(err, faults.ErrInvalidSpec) {
+		t.Fatalf("joiner of a panicked evaluation got %v, want *faults.InternalError", err)
 	}
 }

@@ -1,72 +1,40 @@
 package serve
 
 import (
-	"container/list"
 	"context"
-	"fmt"
-	"sync"
 
 	"github.com/fusedmindlab/transfusion"
-	"github.com/fusedmindlab/transfusion/internal/faults"
+	"github.com/fusedmindlab/transfusion/internal/flight"
 	"github.com/fusedmindlab/transfusion/internal/obs"
 )
 
-// planCache is the serving layer's LRU result cache with singleflight
-// admission: concurrent requests for the same canonical RunSpec key coalesce
-// onto one evaluation, and completed results are retained up to the
-// configured entry count. It extends the PR 3 singleflight pattern (TileSeek
-// objective memo, experiments Runner) to the API layer, with one serving
-// twist: the evaluation runs under a server-owned context, so joiners that
+// planCache is the serving layer's memory tier: a flight.Cache of results by
+// canonical RunSpec key, so concurrent requests for one key coalesce onto one
+// evaluation and completed results are retained up to the configured entry
+// count. The experiments Runner shares the same helper; the serving twist is
+// that the evaluation runs under a server-owned context, so joiners that
 // hang up cannot kill the leader, and a completed result lands in the cache
 // even when every requester has gone away — the retry then hits.
 type planCache struct {
-	mu    sync.Mutex
-	max   int
-	lru   *list.List               // front = most recently used
-	byKey map[string]*list.Element // key -> element whose Value is *cacheEntry
-	calls map[string]*planCall     // in-flight evaluations by key
+	flight *flight.Cache[transfusion.RunResult]
 
 	hits      *obs.Counter
 	misses    *obs.Counter
-	evictions *obs.Counter
 	inflightG *obs.Gauge
 	sizeG     *obs.Gauge
 }
 
-// cacheEntry is one completed, cached result.
-type cacheEntry struct {
-	key string
-	res transfusion.RunResult
-}
-
-// planCall is one in-flight evaluation joiners wait on; res/err are immutable
-// after done closes.
-type planCall struct {
-	done chan struct{}
-	res  transfusion.RunResult
-	err  error
-	// complete is set once eval has returned; observed false in the deferred
-	// cleanup it means eval panicked out of the call.
-	complete bool
-	// leaderTrace is the trace id of the leader's request ("" when the
-	// leader is untraced); joiners stamp it on their "plan.join" span so the
-	// trace that actually ran the evaluation is one click away.
-	leaderTrace string
-}
-
 func newPlanCache(max int, reg *obs.Registry) *planCache {
-	return &planCache{
-		max:   max,
-		lru:   list.New(),
-		byKey: make(map[string]*list.Element),
-		calls: make(map[string]*planCall),
-
+	c := &planCache{
 		hits:      reg.Counter("serve.cache_hits"),
 		misses:    reg.Counter("serve.cache_misses"),
-		evictions: reg.Counter("serve.cache_evictions"),
 		inflightG: reg.Gauge("serve.cache_inflight"),
 		sizeG:     reg.Gauge("serve.cache_size"),
 	}
+	c.flight = flight.New[transfusion.RunResult](max, flight.Hooks{
+		Join: c.join, Evict: reg.Counter("serve.cache_evictions").Inc,
+	})
+	return c
 }
 
 // Do returns the cached result for key, joins an in-flight evaluation of it,
@@ -86,95 +54,41 @@ func newPlanCache(max int, reg *obs.Registry) *planCache {
 // and its coalesced joiners still get the degraded answer (they were
 // concurrent with the fault), but the entry is not kept, so the next request
 // re-evaluates.
-func (c *planCache) Do(ctx context.Context, key string, retainDegraded bool, eval func() (transfusion.RunResult, error)) (res transfusion.RunResult, cached bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		res = el.Value.(*cacheEntry).res
-		c.mu.Unlock()
+func (c *planCache) Do(ctx context.Context, key string, retainDegraded bool, eval func() (transfusion.RunResult, error)) (transfusion.RunResult, bool, error) {
+	res, hit, err := c.flight.Do(ctx, key, func() (transfusion.RunResult, bool, error) {
+		c.misses.Inc()
+		c.inflightG.Add(1)
+		defer c.inflightG.Add(-1)
+		res, err := eval()
+		return res, retainDegraded || !res.Degraded, err
+	})
+	if hit {
 		c.hits.Inc()
-		return res, true, nil
+	} else {
+		c.sizeG.Set(float64(c.flight.Len()))
 	}
-	if call, ok := c.calls[key]; ok {
-		c.mu.Unlock()
-		// A leader is already evaluating this key: joining shares its work,
-		// which is a hit for capacity purposes. The wait is a span of its
-		// own — a traced joiner shows up as "plan.join" pointing at the
-		// leader's trace, not as an unexplained gap.
-		c.hits.Inc()
-		_, joinSp := obs.StartSpan(ctx, "plan.join")
-		if joinSp != nil && call.leaderTrace != "" {
-			joinSp.SetAttr("leader_trace", call.leaderTrace)
-		}
-		select {
-		case <-call.done:
-			joinSp.EndErr(call.err)
-			return call.res, false, call.err
-		case <-ctx.Done():
-			err := faults.Canceled(ctx)
-			joinSp.EndErr(err)
-			return transfusion.RunResult{}, false, err
-		}
-	}
-	call := &planCall{done: make(chan struct{}), leaderTrace: obs.SpanFromContext(ctx).TraceID()}
-	c.calls[key] = call
-	c.mu.Unlock()
-	c.misses.Inc()
-	c.inflightG.Add(1)
-
-	defer func() {
-		// Unblock joiners even if eval panics (the panic keeps propagating to
-		// the API recover boundary); joiners of a panicked evaluation get the
-		// same internal-error classification (500) the leader's recover
-		// boundary reports, never a zero result or a caller-fault 400.
-		if !call.complete {
-			call.err = &faults.InternalError{Panic: fmt.Sprintf("serve: evaluation of %s aborted", key)}
-		}
-		c.inflightG.Add(-1)
-		close(call.done)
-		c.mu.Lock()
-		delete(c.calls, key)
-		c.mu.Unlock()
-	}()
-
-	call.res, call.err = eval()
-	call.complete = true
-	if call.err != nil {
-		return transfusion.RunResult{}, false, call.err
-	}
-	if call.res.Degraded && !retainDegraded {
-		return call.res, false, nil
-	}
-	c.mu.Lock()
-	c.insert(key, call.res)
-	c.mu.Unlock()
-	return call.res, false, nil
+	return res, hit, err
 }
 
-// insert adds a completed result, evicting from the LRU tail. Caller holds mu.
-func (c *planCache) insert(key string, res transfusion.RunResult) {
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		el.Value.(*cacheEntry).res = res
-		return
+// join accounts a caller that coalesces onto an in-flight evaluation:
+// sharing the leader's work is a hit for capacity purposes. The wait is a
+// span of its own — a traced joiner shows up as "plan.join" pointing at the
+// leader's trace, not as an unexplained gap.
+func (c *planCache) join(ctx, leader context.Context) func(error) {
+	c.hits.Inc()
+	_, sp := obs.StartSpan(ctx, "plan.join")
+	if tr := obs.SpanFromContext(leader).TraceID(); sp != nil && tr != "" {
+		sp.SetAttr("leader_trace", tr)
 	}
-	c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, res: res})
-	for c.max > 0 && c.lru.Len() > c.max {
-		tail := c.lru.Back()
-		c.lru.Remove(tail)
-		delete(c.byKey, tail.Value.(*cacheEntry).key)
-		c.evictions.Inc()
-	}
-	c.sizeG.Set(float64(c.lru.Len()))
+	return sp.EndErr
 }
 
 // Put inserts a completed result directly — the warm-restart seed and the
 // disk-tier promotion path. It accounts no hit or miss: nobody requested the
 // key on this call.
 func (c *planCache) Put(key string, res transfusion.RunResult) {
-	c.mu.Lock()
-	c.insert(key, res)
-	c.mu.Unlock()
+	c.flight.Put(key, res)
+	c.sizeG.Set(float64(c.flight.Len()))
 }
 
 // Get peeks the completed cache for key without joining or starting an
@@ -182,22 +96,14 @@ func (c *planCache) Put(key string, res transfusion.RunResult) {
 // the degradation ladder: a complete cached answer is better than a freshly
 // computed degraded one at any load level.
 func (c *planCache) Get(key string) (transfusion.RunResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		// Not counted as a miss: the caller falls through to Do, which
-		// accounts the request exactly once.
-		return transfusion.RunResult{}, false
+	res, ok := c.flight.Get(key)
+	// A miss is not counted: the caller falls through to Do, which accounts
+	// the request exactly once.
+	if ok {
+		c.hits.Inc()
 	}
-	c.lru.MoveToFront(el)
-	c.hits.Inc()
-	return el.Value.(*cacheEntry).res, true
+	return res, ok
 }
 
 // Len returns the number of completed entries currently cached.
-func (c *planCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
+func (c *planCache) Len() int { return c.flight.Len() }

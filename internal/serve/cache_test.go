@@ -276,3 +276,51 @@ func TestPlanCacheDoesNotRetainDegradedResults(t *testing.T) {
 		t.Fatal("definitionally degraded result was not retained under its own key")
 	}
 }
+
+// A traced joiner's wait is a "plan.join" span in its own trace, named after
+// the trace whose request leads the evaluation.
+func TestPlanCacheJoinSpanNamesLeaderTrace(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := newPlanCache(8, reg)
+	tracer := newTracer()
+	leaderTr, leaderRoot := tracer.StartRequest("leader", "")
+	joinerTr, joinerRoot := tracer.StartRequest("joiner", "")
+	gate, started := make(chan struct{}), make(chan struct{})
+	go c.Do(obs.ContextWithSpan(context.Background(), leaderRoot), "k", true, func() (transfusion.RunResult, error) { //nolint:errcheck
+		close(started)
+		<-gate
+		return result("transfusion", 3), nil
+	})
+	<-started
+	joined := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(obs.ContextWithSpan(context.Background(), joinerRoot), "k", true, nil)
+		joined <- err
+	}()
+	// A join counts as a hit before the joiner waits.
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Counter("serve.cache_hits").Value() < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
+	exp, ok := tracer.Export(joinerTr.ID())
+	if !ok {
+		t.Fatal("joiner trace not found")
+	}
+	spans := findSpans(exp.Spans, "plan.join")
+	if len(spans) != 1 {
+		t.Fatalf("%d plan.join spans in the joiner's trace, want 1", len(spans))
+	}
+	var leader string
+	for _, a := range spans[0].Attrs {
+		if a.K == "leader_trace" {
+			leader = a.V
+		}
+	}
+	if leader != leaderTr.ID() {
+		t.Fatalf("plan.join leader_trace = %q, want the leader's trace %q", leader, leaderTr.ID())
+	}
+}

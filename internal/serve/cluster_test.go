@@ -363,6 +363,40 @@ func TestClusterDrainingOwnerRefusesPeerFetches(t *testing.T) {
 	}
 }
 
+// A peer refusal carries the owner's nearest stored recipe and no
+// Retry-After: the requester falls back to its own search at once, so a
+// back-off hint would go unread.
+func TestPeerRefusalCarriesHintNotRetryAfter(t *testing.T) {
+	s, ts, _ := storeTestServer(t, Config{}, t.TempDir(), true, "")
+	target := transfusion.RunSpec{Arch: "edge", Model: "bert", SeqLen: 1024, System: "transfusion", SearchBudget: 4}
+	neighbour := target
+	neighbour.SeqLen = 2048
+	if resp, data := post(t, ts.URL+"/v1/plan", planBody(neighbour)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("neighbour: %d: %s", resp.StatusCode, data)
+	}
+	s.fills.Wait()
+	want := s.nearestHint(context.Background(), target.CanonicalKey())
+	if want == nil {
+		t.Fatal("store holds no recipe near the target")
+	}
+
+	s.draining.Store(true)
+	resp, data := post(t, ts.URL+"/v1/peer/plan", planBody(target))
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining owner answered %d, want 503: %s", resp.StatusCode, data)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Fatalf("peer refusal carries Retry-After %q, want none", ra)
+	}
+	var body errorResponse
+	if err := json.Unmarshal(data, &body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Status != http.StatusServiceUnavailable || !reflect.DeepEqual(body.WarmHint, want) {
+		t.Fatalf("refusal body = %+v, want status 503 and hint %+v", body, want)
+	}
+}
+
 // An overloaded owner (degradation ladder engaged) withholds results from
 // peers rather than shipping degraded plans across the cluster.
 func TestClusterOverloadedOwnerWithholdsDegraded(t *testing.T) {

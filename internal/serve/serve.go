@@ -705,7 +705,7 @@ func (s *Server) resolvePlan(reqCtx context.Context, spec transfusion.RunSpec, a
 		s.reg.Counter("serve.peer.warm_hints").Inc()
 		sp.SetAttr("warm_from", "peer")
 	case s.store != nil && r.mode == "" && !spec.HeuristicOnly:
-		diskCtx, cancel := s.boundDiskCtx(reqCtx)
+		diskCtx, cancel := s.detachedCtx(reqCtx, s.diskBound())
 		ne, ok := s.store.Nearest(diskCtx, fullKey)
 		cancel()
 		if ok && ne.Result.Plan != nil {
@@ -746,7 +746,7 @@ func (s *Server) exactTier(ctx context.Context, key string) (transfusion.RunResu
 	if s.store == nil {
 		return res, "", false
 	}
-	diskCtx, cancel := s.boundDiskCtx(ctx)
+	diskCtx, cancel := s.detachedCtx(ctx, s.diskBound())
 	res, ok = s.store.Get(diskCtx, key)
 	cancel()
 	if !ok {
@@ -801,13 +801,9 @@ func (s *Server) watchedEval(reqCtx context.Context, spec transfusion.RunSpec, r
 	fspec.HeuristicOnly = true
 	r.key, r.source = fspec.CanonicalKey(), sourceSearch
 	res, cached, err := s.cache.Do(reqCtx, r.key, true, func() (transfusion.RunResult, error) {
-		evalCtx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
+		evalCtx, cancel := s.detachedCtx(reqCtx, s.cfg.RequestTimeout)
 		defer cancel()
-		var wdSp *obs.Span
-		if sp := obs.SpanFromContext(reqCtx); sp != nil {
-			evalCtx = obs.ContextWithSpan(evalCtx, sp)
-			evalCtx, wdSp = obs.StartSpan(evalCtx, "plan.watchdog_rescue")
-		}
+		evalCtx, wdSp := obs.StartSpan(evalCtx, "plan.watchdog_rescue")
 		res, err := transfusion.RunContext(evalCtx, fspec)
 		wdSp.EndErr(err)
 		return res, err
@@ -819,24 +815,30 @@ func (s *Server) watchedEval(reqCtx context.Context, spec transfusion.RunSpec, r
 	return nil
 }
 
-// boundDiskCtx derives the context for an on-request-path disk read: the
-// server's base context (which carries the chaos injector and metrics), time-
-// bounded so a slow or fault-injected disk degrades to a miss instead of
-// wedging the request. The watchdog timeout bounds it when configured — the
-// disk tier sits outside the watchdog, so it must not be allowed to consume
-// the whole request deadline on its own. The request's span (when tracing)
-// is re-attached so the store's "store.read" span lands in the request's
+// detachedCtx derives the context for work the request starts but does not
+// own — the disk tier, a peer fetch, an evaluation, an async store fill: the
+// server's base context (which carries the chaos injector and metrics),
+// bounded by d rather than by the request's deadline. The request's span
+// (when tracing) is re-attached, so the work's spans land in the request's
 // trace despite the detached cancellation.
-func (s *Server) boundDiskCtx(reqCtx context.Context) (context.Context, context.CancelFunc) {
-	timeout := s.cfg.RequestTimeout
-	if s.cfg.WatchdogTimeout > 0 && s.cfg.WatchdogTimeout < timeout {
-		timeout = s.cfg.WatchdogTimeout
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+func (s *Server) detachedCtx(reqCtx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithTimeout(s.baseCtx, d)
 	if sp := obs.SpanFromContext(reqCtx); sp != nil {
 		ctx = obs.ContextWithSpan(ctx, sp)
 	}
 	return ctx, cancel
+}
+
+// diskBound bounds an on-request-path disk read, so a slow or fault-injected
+// disk degrades to a miss instead of wedging the request. The watchdog
+// timeout bounds it when configured — the disk tier sits outside the
+// watchdog, so it must not be allowed to consume the whole request deadline
+// on its own.
+func (s *Server) diskBound() time.Duration {
+	if s.cfg.WatchdogTimeout > 0 && s.cfg.WatchdogTimeout < s.cfg.RequestTimeout {
+		return s.cfg.WatchdogTimeout
+	}
+	return s.cfg.RequestTimeout
 }
 
 // peerForwardable reports whether spec can be expressed as a wire-level
@@ -910,11 +912,8 @@ var (
 func (s *Server) peerFetch(reqCtx context.Context, rt peerRoute, peer string, spec transfusion.RunSpec, fullKey string) (transfusion.RunResult, *transfusion.PlanSummary, bool) {
 	s.reg.Counter(rt.attempts).Inc()
 	cl := s.cfg.Cluster
-	ctx, cancel := context.WithTimeout(s.baseCtx, cl.PeerTimeout(peer))
+	ctx, cancel := s.detachedCtx(reqCtx, cl.PeerTimeout(peer))
 	defer cancel()
-	if sp := obs.SpanFromContext(reqCtx); sp != nil {
-		ctx = obs.ContextWithSpan(ctx, sp)
-	}
 	ctx, sp := obs.StartSpan(ctx, rt.span)
 	sp.SetAttr(rt.peerAttr, peer)
 	var resp *client.PlanResponse
@@ -1035,18 +1034,13 @@ func (s *Server) storeFillAsync(evalCtx context.Context, key string, res transfu
 	if s.store == nil || res.Degraded {
 		return
 	}
-	parent := obs.SpanFromContext(evalCtx)
 	s.fills.Add(1)
 	go func() {
 		defer s.fills.Done()
-		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
+		ctx, cancel := s.detachedCtx(evalCtx, s.cfg.RequestTimeout)
 		defer cancel()
-		var sp *obs.Span
-		if parent != nil {
-			ctx = obs.ContextWithSpan(ctx, parent)
-			ctx, sp = obs.StartSpan(ctx, "store.fill")
-			sp.SetAttrBool("async", true)
-		}
+		ctx, sp := obs.StartSpan(ctx, "store.fill")
+		sp.SetAttrBool("async", true)
 		err := s.store.Put(ctx, key, res) //nolint:errcheck // counted in store.put_errors
 		sp.EndErr(err)
 	}()
@@ -1063,19 +1057,15 @@ func (s *Server) doEval(reqCtx context.Context, spec transfusion.RunSpec, key st
 		// and killing the serving process; it classifies as an internal
 		// error (500) for the leader and every coalesced joiner.
 		defer faults.Recover(&err)
-		evalCtx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
-		defer cancel()
 		// The evaluation runs under the server-owned evalCtx, which does not
-		// inherit the request context — re-attach the request's span so the
-		// singleflight leader's work ("plan.lead": admission wait, chaos
-		// strikes, the search itself) lands in the leader's trace. Joiners
-		// get a "plan.join" span inside planCache.Do instead.
-		var lead *obs.Span
-		if sp := obs.SpanFromContext(reqCtx); sp != nil {
-			evalCtx = obs.ContextWithSpan(evalCtx, sp)
-			evalCtx, lead = obs.StartSpan(evalCtx, "plan.lead")
-			defer func() { lead.EndErr(err) }()
-		}
+		// inherit the request's cancellation; the leader's work ("plan.lead":
+		// admission wait, chaos strikes, the search itself) still lands in
+		// the leader's trace. Joiners get a "plan.join" span inside
+		// planCache.Do instead.
+		evalCtx, cancel := s.detachedCtx(reqCtx, s.cfg.RequestTimeout)
+		defer cancel()
+		evalCtx, lead := obs.StartSpan(evalCtx, "plan.lead")
+		defer func() { lead.EndErr(err) }()
 		if err := s.adm.acquire(evalCtx); err != nil {
 			return transfusion.RunResult{}, err
 		}
@@ -1163,13 +1153,12 @@ func (s *Server) handlePeerPlan(w http.ResponseWriter, r *http.Request) {
 // peerRefuse answers a peer route with a refusal that still helps: alongside
 // the 503 the body carries this replica's nearest stored recipe for the key
 // (when one exists), so the requester's mandatory local fallback search can
-// start warm. Counted in serve.peer.rejects like every peer refusal.
+// start warm. Counted in serve.peer.rejects like every peer refusal. It
+// carries no Retry-After: the requester never retries an owner's answer, it
+// falls back to its own search at once.
 func (s *Server) peerRefuse(w http.ResponseWriter, ctx context.Context, fullKey string, err error) {
 	s.reg.Counter("serve.peer.rejects").Inc()
 	status := faults.HTTPStatus(err)
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	}
 	writeJSON(w, status, errorResponse{
 		Error: err.Error(), Status: status, WarmHint: s.nearestHint(ctx, fullKey),
 	})
@@ -1184,7 +1173,7 @@ func (s *Server) nearestHint(reqCtx context.Context, fullKey string) *transfusio
 	if s.store == nil {
 		return nil
 	}
-	diskCtx, cancel := s.boundDiskCtx(reqCtx)
+	diskCtx, cancel := s.detachedCtx(reqCtx, s.diskBound())
 	defer cancel()
 	ne, ok := s.store.Nearest(diskCtx, fullKey)
 	if !ok || ne.Result.Plan == nil {
