@@ -10,6 +10,7 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"github.com/fusedmindlab/transfusion"
 	"github.com/fusedmindlab/transfusion/internal/cluster"
@@ -21,6 +22,8 @@ import (
 //	healthy   concurrent identical requests through all three replicas run
 //	          exactly one tile search cluster-wide (the key's ring owner),
 //	          every answer bit-identical;
+//	SIGHUP    re-reading a literal -peers list is a no-op: the signalled
+//	          replica keeps serving at ring generation 1;
 //	SIGKILL   the owner dies without warning; surviving replicas keep
 //	          serving its keys by local fallback search — no errors, and
 //	          the fallbacks are visible in serve.peer.fallbacks.
@@ -142,6 +145,18 @@ func TestClusterDaemonsShareOneSearch(t *testing.T) {
 		if !reflect.DeepEqual(got.Result, ref.Result) {
 			t.Fatalf("replica %d diverged:\ngot  %+v\nwant %+v", i, got.Result, ref.Result)
 		}
+	}
+
+	// SIGHUP re-reads the literal -peers list: the replica survives the
+	// signal and the unchanged member set neither rebuilds the ring nor
+	// bumps its generation.
+	if err := daemons[1].cmd.Process.Signal(syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond)
+	daemons[1].plan(t, body) // plan() fails the test on any non-200
+	if g := daemons[1].metric(t, "cluster.ring.generation"); g != 1 {
+		t.Fatalf("SIGHUP on a literal -peers list moved generation to %d, want 1", g)
 	}
 
 	// SIGKILL replica 2 and request one of its keys through the survivors:

@@ -22,11 +22,13 @@
 // the owner's singleflight computes each plan once cluster-wide; an
 // unreachable or degraded owner falls back to a local search. POST
 // /v1/plan/batch resolves many plan requests in one round trip with
-// per-entry status and source. With -peers-file, membership is dynamic: the
-// file is re-read on SIGHUP, an active prober walks unresponsive peers
-// through alive -> suspect -> dead (dead members leave the ring; revived
-// ones rejoin), and a key whose ownership moved is first fetched — cache-
-// only, one hop — from its previous owner before being re-searched.
+// per-entry status and source. -peers takes either a comma-separated URL list
+// or the path of a peers file; membership is dynamic either way: SIGHUP
+// re-reads the source (a no-op for a literal list, a live reconfiguration
+// for an edited file), an active prober walks unresponsive peers through
+// alive -> suspect -> dead (dead members leave the ring; revived ones
+// rejoin), and a key whose ownership moved is first fetched — cache-only,
+// one hop — from its previous owner before being re-searched.
 //
 // Usage:
 //
@@ -82,17 +84,12 @@ func run() error {
 	storeMaxBytes := flag.Int64("store-max-bytes", 256<<20, "byte budget for the plan store directory, LRU-evicted (<= 0 unlimited)")
 	storeWarm := flag.Bool("store-warm", true, "seed the in-memory plan cache from the store at startup (warm restart)")
 	warmGrid := flag.Bool("warm-grid", false, "precompute plans for gaps in the store's seq-length grid at startup, warm-seeded from their nearest stored neighbours (requires -store-dir; runs off the serving path)")
-	peers := flag.String("peers", "", "comma-separated base URLs of every replica, self included (e.g. 'http://a:8080,http://b:8080'; empty disables clustering)")
-	peersFile := flag.String("peers-file", "", "file listing replica base URLs, one per line (# comments allowed; alternative to -peers, re-read on SIGHUP for live membership changes)")
+	peers := flag.String("peers", "", "every replica's base URL, self included: a comma-separated list (e.g. 'http://a:8080,http://b:8080') or the path of a file listing one per line (# comments allowed); re-read on SIGHUP for live membership changes (empty disables clustering)")
 	self := flag.String("self", "", "this replica's own base URL, exactly as listed in -peers (required with -peers)")
 	peerTimeout := flag.Duration("peer-timeout", 0, "bound on one peer plan fetch before falling back to local search (0 = default; clamped per-peer by the prober's latency EWMA)")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "base gap between health probes of one peer, jittered per probe (0 disables the prober: membership stays static)")
-	probeTimeout := flag.Duration("probe-timeout", time.Second, "bound on one health probe round-trip")
-	probeSuspect := flag.Int("probe-suspect", 2, "consecutive probe failures before a peer is suspect (kept in the ring, clamped fetch timeout)")
-	probeDead := flag.Int("probe-dead", 4, "consecutive probe failures before a peer is dead and leaves the ring")
-	probeRevive := flag.Int("probe-revive", 2, "consecutive probe successes before a suspect or dead peer is alive again")
 	chaosSpec := flag.String("chaos", "", "fault-injection schedule, e.g. 'serve.cache.leader=latency:2s@every=5;serve.admission=error@p=0.01' (empty disables)")
-	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for probabilistic -chaos schedules (deterministic replay)")
+	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for probabilistic -chaos schedules and the probe jitter (deterministic replay)")
 	logLevel := flag.String("log-level", "info", "structured log level on stderr: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines instead of text")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof profiling endpoints (empty disables; never exposed on the serving port)")
@@ -176,45 +173,21 @@ func run() error {
 	}
 
 	var clust *cluster.Cluster
-	if *peers != "" || *peersFile != "" {
-		if *peers != "" && *peersFile != "" {
-			return fmt.Errorf("-peers and -peers-file are mutually exclusive")
-		}
+	if *peers != "" {
 		if *self == "" {
-			return fmt.Errorf("-peers/-peers-file requires -self")
+			return fmt.Errorf("-peers requires -self")
 		}
-		var list []string
-		if *peersFile != "" {
-			list, err = readPeersFile(*peersFile)
-			if err != nil {
-				return err
-			}
-			if len(list) == 0 {
-				// An empty peers file is single-node mode, not an error: the
-				// file is the live membership source and may legitimately
-				// shrink to just this replica.
-				list = []string{*self}
-			}
-		} else {
-			for _, p := range strings.Split(*peers, ",") {
-				if p = strings.TrimSpace(p); p != "" {
-					list = append(list, p)
-				}
-			}
+		list, err := readPeers(*peers, *self)
+		if err != nil {
+			return err
 		}
 		clust, err = cluster.New(cluster.Config{
-			Self:         *self,
-			Peers:        list,
-			FetchTimeout: *peerTimeout,
-			Metrics:      metrics,
-			Probe: cluster.ProbeConfig{
-				Interval:     *probeInterval,
-				Timeout:      *probeTimeout,
-				SuspectAfter: *probeSuspect,
-				DeadAfter:    *probeDead,
-				ReviveAfter:  *probeRevive,
-				Seed:         *chaosSeed,
-			},
+			Self:          *self,
+			Peers:         list,
+			FetchTimeout:  *peerTimeout,
+			Metrics:       metrics,
+			ProbeInterval: *probeInterval,
+			ProbeSeed:     *chaosSeed,
 			OnChange: func(gen uint64, members []string) {
 				logger.Info("transfusiond: cluster ring rebuilt",
 					"generation", gen,
@@ -227,40 +200,40 @@ func run() error {
 		logger.Info("transfusiond: clustering enabled",
 			"self", clust.Self(),
 			"members", len(clust.Members()),
-			"peers_file", *peersFile)
+			"peers", *peers)
 		if *probeInterval > 0 {
 			prober := clust.StartProber(ctx)
 			defer prober.Stop()
 		}
-		if *peersFile != "" {
-			// SIGHUP re-reads the peers file and reconfigures the ring live.
-			// The channel buffer of 1 coalesces back-to-back signals: a burst
-			// of SIGHUPs converges on one reload of the file's final content.
-			hup := make(chan os.Signal, 1)
-			signal.Notify(hup, syscall.SIGHUP)
-			defer signal.Stop(hup)
-			go func() {
-				for {
-					select {
-					case <-ctx.Done():
-						return
-					case <-hup:
-					}
-					list, err := readPeersFile(*peersFile)
-					if err != nil {
-						logger.Error("transfusiond: peers file reload failed; keeping current ring", "err", err)
-						continue
-					}
-					if err := clust.Reload(list); err != nil {
-						logger.Error("transfusiond: peers reload rejected; keeping current ring", "err", err)
-						continue
-					}
-					logger.Info("transfusiond: peers file reloaded",
-						"peers", len(clust.Peers()),
-						"generation", clust.Generation())
+		// SIGHUP re-reads -peers and reconfigures the ring live. Re-reading a
+		// literal list changes nothing (Reload of the identical set neither
+		// rebuilds nor bumps the generation); an edited peers file applies.
+		// The channel buffer of 1 coalesces back-to-back signals: a burst of
+		// SIGHUPs converges on one reload of the file's final content.
+		hup := make(chan os.Signal, 1)
+		signal.Notify(hup, syscall.SIGHUP)
+		defer signal.Stop(hup)
+		go func() {
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-hup:
 				}
-			}()
-		}
+				list, err := readPeers(*peers, *self)
+				if err != nil {
+					logger.Error("transfusiond: peers reload failed; keeping current ring", "err", err)
+					continue
+				}
+				if err := clust.Reload(list); err != nil {
+					logger.Error("transfusiond: peers reload rejected; keeping current ring", "err", err)
+					continue
+				}
+				logger.Info("transfusiond: peers reloaded",
+					"peers", len(clust.Peers()),
+					"generation", clust.Generation())
+			}
+		}()
 	}
 
 	srv := serve.New(serve.Config{
@@ -304,22 +277,29 @@ func run() error {
 	return err
 }
 
-// readPeersFile parses a peers file: one replica base URL per line, blank
-// lines and #-comments ignored. An empty result is legal — the caller
-// decides whether that means single-node mode (boot, reload) or an error.
-func readPeersFile(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading peers file: %w", err)
+// readPeers resolves a -peers value to the member list. A value containing
+// "://" is a literal comma-separated URL list; anything else is the path of
+// a peers file: one URL per line, blank lines and #-comments ignored. An
+// empty file is single-node mode, not an error — the file is the live
+// membership source and may legitimately shrink to just this replica.
+func readPeers(src, self string) ([]string, error) {
+	text, sep := src, ","
+	if !strings.Contains(src, "://") {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			return nil, fmt.Errorf("reading peers file: %w", err)
+		}
+		text, sep = string(data), "\n"
 	}
 	var list []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
+	for _, entry := range strings.Split(text, sep) {
+		entry, _, _ = strings.Cut(entry, "#")
+		if entry = strings.TrimSpace(entry); entry != "" {
+			list = append(list, entry)
 		}
-		if line = strings.TrimSpace(line); line != "" {
-			list = append(list, line)
-		}
+	}
+	if len(list) == 0 {
+		list = []string{self}
 	}
 	return list, nil
 }

@@ -11,12 +11,12 @@ import (
 )
 
 // The membership-churn test drives real daemon processes through a live
-// reconfiguration: three replicas share one -peers-file; the file is edited
-// to drop one replica and admit a newly started one; SIGHUP makes the
-// survivors reload it; the dropped replica is then SIGKILLed. Throughout,
-// every request on a current member answers 200, the survivors' ring
-// generation bumps exactly once (back-to-back identical SIGHUPs coalesce),
-// and the membership gauges track the new three-member set.
+// reconfiguration: three replicas share one peers file (-peers <path>); the
+// file is edited to drop one replica and admit a newly started one; SIGHUP
+// makes the survivors reload it; the dropped replica is then SIGKILLed.
+// Throughout, every request on a current member answers 200, the survivors'
+// ring generation bumps exactly once (back-to-back identical SIGHUPs
+// coalesce), and the membership gauges track the new three-member set.
 func TestDaemonPeersFileMembershipChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real daemon processes")
@@ -41,13 +41,9 @@ func TestDaemonPeersFileMembershipChurn(t *testing.T) {
 		return startDaemon(t,
 			"-addr", fmt.Sprintf("127.0.0.1:%d", ports[i]),
 			"-self", urls[i],
-			"-peers-file", peersFile,
+			"-peers", peersFile,
 			"-peer-timeout", "5s",
-			"-probe-interval", "50ms",
-			"-probe-timeout", "2s",
-			"-probe-suspect", "2",
-			"-probe-dead", "3",
-			"-probe-revive", "2")
+			"-probe-interval", "50ms")
 	}
 	daemons := make([]*daemon, 3)
 	for i := range daemons {

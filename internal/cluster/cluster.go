@@ -23,7 +23,7 @@ type Config struct {
 	// Peers is the initial full member list, Self included. Every replica
 	// must be configured with the same list (order irrelevant) for ownership
 	// to agree cluster-wide. The list is no longer static: Reload swaps it
-	// live (the SIGHUP -peers-file path), and the prober's dead/alive
+	// live (the daemon's SIGHUP path), and the prober's dead/alive
 	// verdicts exclude and readmit members without touching it.
 	Peers []string
 	// FetchTimeout bounds one peer plan fetch, retries included (default 10s).
@@ -36,11 +36,17 @@ type Config struct {
 	// defaults to 1 here: a struggling peer is better answered by the local
 	// fallback search than by a long retry ladder.
 	ClientOptions client.Options
-	// Probe tunes the failure detector (zero fields take ProbeConfig
-	// defaults). The detector only acts once StartProber runs — without a
-	// prober every configured peer stays alive forever, which is exactly
-	// the static-membership behaviour of earlier releases.
-	Probe ProbeConfig
+	// ProbeInterval is the failure detector's base gap between two probes
+	// of the same peer (default 2s). Each gap is jittered into [0.5, 1.5)x
+	// so replicas don't probe in lockstep, and backs off 4x for dead peers
+	// so the prober doesn't hammer corpses (resurrection is still noticed
+	// within ~4 intervals). The detector only acts once StartProber runs —
+	// without a prober every configured peer stays alive forever, which is
+	// exactly the static-membership behaviour of earlier releases.
+	ProbeInterval time.Duration
+	// ProbeSeed drives the deterministic probe jitter (default 1). The
+	// jitter also hashes Self, so replicas sharing a seed still spread out.
+	ProbeSeed uint64
 	// Metrics receives the membership gauges (cluster.member.alive/
 	// suspect/dead, cluster.ring.generation) and the prober's counters.
 	// Nil disables them.
@@ -58,12 +64,13 @@ type Config struct {
 // Generation) are lock-free loads of an immutable view swapped atomically
 // by reloads and probe transitions; everything is safe for concurrent use.
 type Cluster struct {
-	self         string
-	pool         *client.Pool
-	fetchTimeout time.Duration
-	probe        ProbeConfig
-	reg          *obs.Registry
-	onChange     func(uint64, []string)
+	self          string
+	pool          *client.Pool
+	fetchTimeout  time.Duration
+	probeInterval time.Duration
+	probeSeed     uint64
+	reg           *obs.Registry
+	onChange      func(uint64, []string)
 
 	// mu guards the configured peer list and health map, and serializes
 	// ring rebuilds. The request path never takes it for ownership reads.
@@ -123,6 +130,12 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.FetchTimeout <= 0 {
 		cfg.FetchTimeout = 10 * time.Second
 	}
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = 2 * time.Second
+	}
+	if cfg.ProbeSeed == 0 {
+		cfg.ProbeSeed = 1
+	}
 	opts := cfg.ClientOptions
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 1
@@ -135,14 +148,15 @@ func New(cfg Config) (*Cluster, error) {
 		opts.HTTPClient = &http.Client{Timeout: cfg.FetchTimeout + 5*time.Second}
 	}
 	c := &Cluster{
-		self:         self,
-		pool:         client.NewPool(opts),
-		fetchTimeout: cfg.FetchTimeout,
-		probe:        cfg.Probe.withDefaults(),
-		reg:          cfg.Metrics,
-		onChange:     cfg.OnChange,
-		peers:        peers,
-		health:       make(map[string]*memberHealth, len(peers)),
+		self:          self,
+		pool:          client.NewPool(opts),
+		fetchTimeout:  cfg.FetchTimeout,
+		probeInterval: cfg.ProbeInterval,
+		probeSeed:     cfg.ProbeSeed,
+		reg:           cfg.Metrics,
+		onChange:      cfg.OnChange,
+		peers:         peers,
+		health:        make(map[string]*memberHealth, len(peers)),
 	}
 	for _, p := range peers {
 		if p != self {

@@ -10,9 +10,9 @@ import (
 //
 // Transitions are driven only by consecutive probe outcomes (hysteresis):
 //
-//	alive   --SuspectAfter consecutive failures-->  suspect
-//	suspect --DeadAfter consecutive failures----->  dead
-//	any     --ReviveAfter consecutive successes-->  alive
+//	alive   --suspectAfter (2) consecutive failures-->  suspect
+//	suspect --deadAfter (4) consecutive failures----->  dead
+//	any     --reviveAfter (2) consecutive successes-->  alive
 //
 // Only the alive<->dead boundary rebuilds the ring: a suspect member keeps
 // its key ownership (it may just be slow), it merely gets a clamped fetch
@@ -40,58 +40,25 @@ func (s MemberState) String() string {
 	}
 }
 
-// ProbeConfig tunes the failure detector. The zero value takes the defaults
-// noted per field; thresholds count *consecutive* probe outcomes, so the
-// detector has hysteresis by construction.
-type ProbeConfig struct {
-	// Interval is the base gap between two probes of the same peer (default
-	// 2s). Each gap is jittered into [0.5, 1.5)x so replicas don't probe in
-	// lockstep, and backs off 4x for dead peers so the prober doesn't hammer
-	// corpses (resurrection is still noticed within ~4 intervals).
-	Interval time.Duration
-	// Timeout bounds one /readyz round-trip (default 1s). A probe that
-	// outlives it counts as a failure. Timeout may exceed Interval: each
-	// peer's probe loop is synchronous, so a slow probe simply delays that
-	// peer's next probe rather than piling up — and a generous timeout is
-	// what keeps a busy-but-alive peer from being mistaken for a dead one,
-	// while genuinely dead peers still fail fast (connection refused).
-	Timeout time.Duration
-	// SuspectAfter is the consecutive-failure count that demotes alive to
-	// suspect (default 2).
-	SuspectAfter int
-	// DeadAfter is the consecutive-failure count that declares a peer dead
-	// and removes it from the ring (default 4; values <= SuspectAfter are
-	// raised to SuspectAfter+1 so suspect is always visited first).
-	DeadAfter int
-	// ReviveAfter is the consecutive-success count that resurrects a
-	// suspect or dead peer to alive (default 2).
-	ReviveAfter int
-	// Seed drives the deterministic probe jitter (default 1).
-	Seed uint64
-}
-
-// withDefaults fills zero fields.
-func (p ProbeConfig) withDefaults() ProbeConfig {
-	if p.Interval <= 0 {
-		p.Interval = 2 * time.Second
-	}
-	if p.Timeout <= 0 {
-		p.Timeout = time.Second
-	}
-	if p.SuspectAfter <= 0 {
-		p.SuspectAfter = 2
-	}
-	if p.DeadAfter <= p.SuspectAfter {
-		p.DeadAfter = p.SuspectAfter + 1
-	}
-	if p.ReviveAfter <= 0 {
-		p.ReviveAfter = 2
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	return p
-}
+// The failure detector's fixed settings. Thresholds count *consecutive*
+// probe outcomes, so the detector has hysteresis by construction, and
+// deadAfter > suspectAfter means suspect is always visited first.
+const (
+	// probeTimeout bounds one /readyz round-trip; a probe that outlives it
+	// counts as a failure. It may exceed the probe interval: each peer's
+	// probe loop is synchronous, so a slow probe simply delays that peer's
+	// next probe rather than piling up — and a generous timeout is what
+	// keeps a busy-but-alive peer from being mistaken for a dead one, while
+	// genuinely dead peers still fail fast (connection refused).
+	probeTimeout = time.Second
+	// suspectAfter consecutive failures demote alive to suspect.
+	suspectAfter = 2
+	// deadAfter consecutive failures declare a peer dead and remove it
+	// from the ring.
+	deadAfter = 4
+	// reviveAfter consecutive successes resurrect a suspect or dead peer.
+	reviveAfter = 2
+)
 
 // memberHealth is one peer's detector state. Guarded by Cluster.mu.
 type memberHealth struct {
@@ -215,7 +182,7 @@ func (c *Cluster) PeerTimeout(peer string) time.Duration {
 		return flat
 	}
 	ewma := time.Duration(ewmaMS * float64(time.Millisecond))
-	if st == StateAlive && ewma <= c.probe.Timeout/2 {
+	if st == StateAlive && ewma <= probeTimeout/2 {
 		return flat
 	}
 	clamped := 4 * ewma
@@ -228,7 +195,7 @@ func (c *Cluster) PeerTimeout(peer string) time.Duration {
 	return clamped
 }
 
-// Reload replaces the configured member list (the SIGHUP -peers-file path).
+// Reload replaces the configured member list (the daemon's SIGHUP path).
 // Self must remain in the new list; an empty list degrades to single-node
 // mode (ring = {self}). Health state carries over for peers present in both
 // lists; new peers start alive (the prober will demote them if they are
@@ -313,16 +280,16 @@ func (c *Cluster) ReportProbe(peer string, ok bool, rtt time.Duration) MemberSta
 	if ok {
 		h.consecOK++
 		h.consecFail = 0
-		if h.state != StateAlive && h.consecOK >= c.probe.ReviveAfter {
+		if h.state != StateAlive && h.consecOK >= reviveAfter {
 			h.state = StateAlive
 		}
 	} else {
 		h.consecFail++
 		h.consecOK = 0
 		switch {
-		case h.consecFail >= c.probe.DeadAfter:
+		case h.consecFail >= deadAfter:
 			h.state = StateDead
-		case h.consecFail >= c.probe.SuspectAfter:
+		case h.consecFail >= suspectAfter:
 			if h.state == StateAlive {
 				h.state = StateSuspect
 			}

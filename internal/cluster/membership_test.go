@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -209,7 +210,6 @@ func TestPeerTimeoutClamp(t *testing.T) {
 		Self:         "http://a:1",
 		Peers:        []string{"http://a:1", "http://b:1"},
 		FetchTimeout: 10 * time.Second,
-		Probe:        ProbeConfig{Timeout: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,17 +318,11 @@ func TestProberDetectsDeathAndResurrection(t *testing.T) {
 	var gensMu sync.Mutex
 	reg := obs.NewRegistry()
 	c, err := New(Config{
-		Self:    "http://self:1",
-		Peers:   []string{"http://self:1", peer.URL},
-		Metrics: reg,
-		Probe: ProbeConfig{
-			Interval:     15 * time.Millisecond,
-			Timeout:      300 * time.Millisecond,
-			SuspectAfter: 2,
-			DeadAfter:    3,
-			ReviveAfter:  2,
-			Seed:         7,
-		},
+		Self:          "http://self:1",
+		Peers:         []string{"http://self:1", peer.URL},
+		Metrics:       reg,
+		ProbeInterval: 15 * time.Millisecond,
+		ProbeSeed:     7,
 		OnChange: func(gen uint64, members []string) {
 			gensMu.Lock()
 			gens = append(gens, gen)
@@ -398,16 +392,10 @@ func TestProberChaosSiteDrivesLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := New(Config{
-		Self:  "http://self:1",
-		Peers: []string{"http://self:1", peer.URL},
-		Probe: ProbeConfig{
-			Interval:     15 * time.Millisecond,
-			Timeout:      300 * time.Millisecond,
-			SuspectAfter: 2,
-			DeadAfter:    3,
-			ReviveAfter:  2,
-			Seed:         7,
-		},
+		Self:          "http://self:1",
+		Peers:         []string{"http://self:1", peer.URL},
+		ProbeInterval: 15 * time.Millisecond,
+		ProbeSeed:     7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -443,9 +431,10 @@ func TestProberFollowsReloads(t *testing.T) {
 	defer peer.Close()
 
 	c, err := New(Config{
-		Self:  "http://self:1",
-		Peers: []string{"http://self:1", peer.URL},
-		Probe: ProbeConfig{Interval: 10 * time.Millisecond, Timeout: 300 * time.Millisecond, Seed: 3},
+		Self:          "http://self:1",
+		Peers:         []string{"http://self:1", peer.URL},
+		ProbeInterval: 10 * time.Millisecond,
+		ProbeSeed:     3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -481,6 +470,39 @@ func TestProberFollowsReloads(t *testing.T) {
 			t.Fatal("probing never resumed after the peer rejoined")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// Replicas share a jitter seed (the daemon passes -chaos-seed, default 1),
+// so the seed alone cannot spread them out: two replicas probing the same
+// peer must still follow different gap sequences, while one replica's
+// sequence stays deterministic.
+func TestProberJitterDiffersPerReplica(t *testing.T) {
+	peers := []string{"http://a:1", "http://b:1", "http://c:1"}
+	delays := func(self string) []time.Duration {
+		c, err := New(Config{Self: self, Peers: peers, ProbeSeed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &Prober{c: c}
+		seq := make([]time.Duration, 8)
+		for n := range seq {
+			seq[n] = p.delay("http://c:1", n)
+		}
+		return seq
+	}
+	a, b := delays("http://a:1"), delays("http://b:1")
+	if !slices.Equal(a, delays("http://a:1")) {
+		t.Fatal("one replica's probe delays are not deterministic")
+	}
+	same := 0
+	for n := range a {
+		if a[n] == b[n] {
+			same++
+		}
+	}
+	if same > 0 {
+		t.Fatalf("replicas a and b share %d of %d probe delays to c: %v vs %v", same, len(a), a, b)
 	}
 }
 

@@ -62,8 +62,7 @@ func (p *Prober) Stop() {
 // the configured set).
 func (p *Prober) supervise(ctx context.Context) {
 	defer close(p.done)
-	interval := p.c.probe.Interval
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(p.c.probeInterval)
 	defer ticker.Stop()
 	for {
 		for _, peer := range p.c.Peers() {
@@ -123,15 +122,15 @@ func (p *Prober) probeLoop(ctx context.Context, peer string) {
 
 // delay computes the gap before probe n of peer: the base interval (4x for
 // dead peers — the per-peer backoff), jittered into [0.5, 1.5)x by a
-// deterministic hash of (seed, peer, n). Probe 0 gets a quarter of that so
-// boot converges fast while replicas still spread out.
+// deterministic hash of (seed, self, peer, n). Hashing self is what keeps
+// replicas sharing a seed from probing one peer in lockstep. Probe 0 gets a
+// quarter of that so boot converges fast while replicas still spread out.
 func (p *Prober) delay(peer string, n int) time.Duration {
-	cfg := p.c.probe
-	base := cfg.Interval
+	base := p.c.probeInterval
 	if p.c.State(peer) == StateDead {
 		base *= 4
 	}
-	u := mix(cfg.Seed ^ fnv64(peer) ^ mix(uint64(n)))
+	u := mix(mix(p.c.probeSeed^fnv64(p.c.self)) ^ fnv64(peer) ^ mix(uint64(n)))
 	frac := 0.5 + float64(u>>11)/float64(1<<53) // [0.5, 1.5)
 	d := time.Duration(float64(base) * frac)
 	if n == 0 {
@@ -144,8 +143,7 @@ func (p *Prober) delay(peer string, n int) time.Duration {
 // failure observed only because the prober itself is shutting down is
 // discarded — it says nothing about the peer.
 func (p *Prober) probeOnce(ctx context.Context, peer string) {
-	cfg := p.c.probe
-	pctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	start := time.Now()
 	err := chaos.SiteFrom(ctx, chaos.SiteClusterProbe).Strike(pctx)
@@ -162,7 +160,7 @@ func (p *Prober) probeOnce(ctx context.Context, peer string) {
 		// Failures report the full probe timeout into the EWMA: whether
 		// the probe timed out or was refused instantly, the peer is not
 		// answering at a usable latency.
-		rtt = cfg.Timeout
+		rtt = probeTimeout
 	}
 	p.c.ReportProbe(peer, err == nil, rtt)
 }

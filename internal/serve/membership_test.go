@@ -115,13 +115,14 @@ type memberHarness struct {
 
 // memberOpts tunes harness construction per test.
 type memberOpts struct {
-	n            int
-	probe        cluster.ProbeConfig // zero Interval leaves the prober off
-	probers      bool
-	stores       bool   // give each replica its own disk tier
-	probeChaos   string // chaos schedule armed on every replica's prober
-	chaosSeed    uint64
-	fetchTimeout time.Duration
+	n             int
+	probeInterval time.Duration
+	probeSeed     uint64
+	probers       bool
+	stores        bool   // give each replica its own disk tier
+	probeChaos    string // chaos schedule armed on every replica's prober
+	chaosSeed     uint64
+	fetchTimeout  time.Duration
 }
 
 func newMemberHarness(t *testing.T, opts memberOpts) *memberHarness {
@@ -143,11 +144,12 @@ func newMemberHarness(t *testing.T, opts memberOpts) *memberHarness {
 	for i := range listeners {
 		r := &memberReplica{url: urls[i], reg: obs.NewRegistry()}
 		cl, err := cluster.New(cluster.Config{
-			Self:         urls[i],
-			Peers:        urls,
-			FetchTimeout: opts.fetchTimeout,
-			Probe:        opts.probe,
-			Metrics:      r.reg,
+			Self:          urls[i],
+			Peers:         urls,
+			FetchTimeout:  opts.fetchTimeout,
+			ProbeInterval: opts.probeInterval,
+			ProbeSeed:     opts.probeSeed,
+			Metrics:       r.reg,
 			OnChange: func(gen uint64, _ []string) {
 				r.genMu.Lock()
 				r.gens = append(r.gens, gen)
@@ -333,16 +335,10 @@ func (p *pounder) halt(t *testing.T) {
 // own view.
 func TestMembershipKillResurrectUnderTraffic(t *testing.T) {
 	h := newMemberHarness(t, memberOpts{
-		n:       3,
-		probers: true,
-		probe: cluster.ProbeConfig{
-			Interval:     20 * time.Millisecond,
-			Timeout:      250 * time.Millisecond,
-			SuspectAfter: 2,
-			DeadAfter:    3,
-			ReviveAfter:  2,
-			Seed:         7,
-		},
+		n:             3,
+		probers:       true,
+		probeInterval: 20 * time.Millisecond,
+		probeSeed:     7,
 	})
 	victim := h.reps[2]
 	survivors := []*memberReplica{h.reps[0], h.reps[1]}
@@ -498,18 +494,12 @@ func TestMembershipKillResurrectUnderTraffic(t *testing.T) {
 // holds every member alive at generation 1 while traffic flows normally.
 func TestMembershipProbeChaosNeverFlapsRing(t *testing.T) {
 	h := newMemberHarness(t, memberOpts{
-		n:          2,
-		probers:    true,
-		probeChaos: "cluster.probe=error@every=3",
-		chaosSeed:  9,
-		probe: cluster.ProbeConfig{
-			Interval:     10 * time.Millisecond,
-			Timeout:      250 * time.Millisecond,
-			SuspectAfter: 2,
-			DeadAfter:    3,
-			ReviveAfter:  2,
-			Seed:         11,
-		},
+		n:             2,
+		probers:       true,
+		probeChaos:    "cluster.probe=error@every=3",
+		chaosSeed:     9,
+		probeInterval: 10 * time.Millisecond,
+		probeSeed:     11,
 	})
 	waitForCond(t, "enough probe failures to prove the schedule ran", func() bool {
 		for _, r := range h.reps {
